@@ -10,7 +10,8 @@
 # under the race detector. A fourth, scoped repeat runs test_storage with
 # EXASIM_CKPT_MODE=staged on 4 workers — the tiered writer's occupancy
 # windows and drain bookkeeping under the race detector. The ASan leg runs
-# pooled and EXASIM_NO_POOL=1. The mc leg runs the model-checker suite
+# pooled and EXASIM_NO_POOL=1, and includes the spec-grammar mutation fuzzer
+# (test_spec_fuzz). The mc leg runs the model-checker suite
 # (test_mc — a tiny scenario lattice end to end) under TSan, as-is and with
 # EXASIM_JOBS=4 so the campaign executor fans scenario evaluations across
 # worker threads under the race detector.
@@ -69,15 +70,16 @@ run_tsan() {
 }
 
 run_asan() {
-  echo "== tier 1: AddressSanitizer (pool/fiber/engine/resilience suites) =="
+  echo "== tier 1: AddressSanitizer (pool/fiber/engine/resilience suites + spec fuzzer) =="
   # Validates the hot-path memory pools: parked payload blocks and recycled
   # fiber stacks are shadow-poisoned, so stale pointers into either trip ASan
   # even though the memory never went back to the system allocator. Runs both
-  # pooled and --no-pool configurations via EXASIM_NO_POOL.
+  # pooled and --no-pool configurations via EXASIM_NO_POOL. test_spec_fuzz
+  # feeds seeded mutants of every spec spelling through every parser.
   cmake -B build-asan -S . -DEXASIM_ASAN=ON >/dev/null
-  cmake --build build-asan -j "$JOBS" --target test_util test_fiber test_pdes test_vmpi_p2p test_resilience
-  (cd build-asan && ctest --output-on-failure -R 'test_util|test_fiber|test_pdes|test_vmpi_p2p|test_resilience')
-  (cd build-asan && EXASIM_NO_POOL=1 ctest --output-on-failure -R 'test_util|test_fiber|test_pdes|test_vmpi_p2p|test_resilience')
+  cmake --build build-asan -j "$JOBS" --target test_util test_fiber test_pdes test_vmpi_p2p test_resilience test_spec_fuzz
+  (cd build-asan && ctest --output-on-failure -R 'test_util|test_fiber|test_pdes|test_vmpi_p2p|test_resilience|test_spec_fuzz')
+  (cd build-asan && EXASIM_NO_POOL=1 ctest --output-on-failure -R 'test_util|test_fiber|test_pdes|test_vmpi_p2p|test_resilience|test_spec_fuzz')
 }
 
 run_mc() {

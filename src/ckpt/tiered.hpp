@@ -33,8 +33,8 @@ const std::vector<std::string>& list_ckpt_modes();
 /// Environment variable consulted when no --ckpt-mode flag is given.
 inline constexpr const char* kCkptModeEnvVar = "EXASIM_CKPT_MODE";
 
-/// Empty defers to EXASIM_CKPT_MODE (unset/malformed -> kPfs); throws
-/// std::invalid_argument on a malformed non-empty `configured`.
+/// Empty defers to EXASIM_CKPT_MODE (unset -> kPfs); throws
+/// std::invalid_argument on a malformed `configured` or EXASIM_CKPT_MODE.
 CkptMode resolve_ckpt_mode(const std::string& configured);
 
 /// Process-wide tiered-checkpoint counters (monotonic, like fanout_stats):

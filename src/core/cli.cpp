@@ -1,43 +1,19 @@
 #include "core/cli.hpp"
 
-#include <cstdlib>
-#include <sstream>
+#include <stdexcept>
 
 #include "ckpt/tiered.hpp"
 #include "core/failure.hpp"
 #include "iomodel/storage.hpp"
 #include "netmodel/routing.hpp"
 #include "pdes/scheduler.hpp"
+#include "pdes/sim_workers.hpp"
 #include "resilience/detector.hpp"
 #include "util/log.hpp"
 #include "util/parse.hpp"
 #include "util/pool.hpp"
 
 namespace exasim::core {
-namespace {
-
-bool parse_double(const std::string& v, double* out) {
-  try {
-    std::size_t pos = 0;
-    *out = std::stod(v, &pos);
-    return pos == v.size();
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_int(const std::string& v, long long* out) {
-  try {
-    std::size_t pos = 0;
-    *out = std::stoll(v, &pos);
-    return pos == v.size();
-  } catch (...) {
-    return false;
-  }
-}
-
-}  // namespace
-
 std::string cli_usage() {
   return
       "options:\n"
@@ -54,7 +30,7 @@ std::string cli_usage() {
       "                    max over the route's links; or env\n"
       "                    EXASIM_LINK_TIMEOUTS; default uniform)\n"
       "  --contention     (fold per-link occupancy waits into delivery times;\n"
-      "                    exact at --sim-workers=1, approximate otherwise)\n"
+      "                    needs --sim-workers=1, rejected with more workers)\n"
       "  --slowdown=X --ns-per-unit=X\n"
       "  --pfs-bandwidth=B/s --pfs-latency=DUR\n"
       "  --storage=pfs|hpc|mem[:k=v,..];bb[:..];pfs[:..]\n"
@@ -94,11 +70,13 @@ std::string cli_usage() {
       "                    results at any depth)\n"
       "  --no-pool        (disable the hot-path memory pools — payloads and\n"
       "                    fiber stacks fall back to plain heap/mmap; also\n"
-      "                    env EXASIM_NO_POOL=1; identical results either way)\n";
+      "                    env EXASIM_NO_POOL=1; identical results either way)\n"
+      "  A malformed value, flag or EXASIM_* variable is an error (exit 2).\n";
 }
 
 std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::string* error) {
   CliOptions opts;
+  SimConfig& m = opts.machine;
   auto fail = [&](const std::string& msg) {
     if (error != nullptr) *error = msg;
     return std::nullopt;
@@ -109,94 +87,80 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::stri
   {
     auto schedule = FailureSchedule::from_env();
     if (!schedule) return fail(std::string("malformed ") + kFailureScheduleEnvVar);
-    opts.machine.failures = schedule->specs();
+    m.failures = schedule->specs();
   }
-  if (const char* env = std::getenv(resilience::kDetectorEnvVar)) {
-    auto spec = resilience::parse_detector_spec(env);
-    if (!spec) return fail(std::string("malformed ") + resilience::kDetectorEnvVar);
-    opts.machine.detector = *spec;
-  }
-  if (const char* env = std::getenv(kLinkTimeoutsEnvVar)) {
-    auto spec = parse_link_timeout_spec(env);
-    if (!spec) return fail(std::string("malformed ") + kLinkTimeoutsEnvVar);
-    opts.machine.net.link_timeouts = *spec;
+  try {
+    m.detector = resolve(std::string(), resilience::kDetectorEnvVar,
+                         resilience::parse_detector_spec, m.detector, "detector spec");
+    m.net.link_timeouts = resolve(std::string(), kLinkTimeoutsEnvVar, parse_link_timeout_spec,
+                                  m.net.link_timeouts, "link-timeout spec");
+  } catch (const std::invalid_argument& e) {
+    return fail(e.what());
   }
 
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
+    const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
       opts.positional.push_back(arg);
       continue;
     }
-    std::string key = arg.substr(2);
-    std::string value;
-    if (auto eq = key.find('='); eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key = key.substr(0, eq);
-    }
+    const auto eq = arg.find('=');
+    const std::string key = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    // A valued option that fails to parse, or a switch given a value.
+    bool ok = true;
+    auto spec = [&](bool valid, std::string& out) {
+      ok = valid;
+      if (valid) out = value;
+    };
+    auto flag = [&](bool& out) {
+      ok = eq == std::string::npos;
+      out = true;
+    };
 
-    long long ll = 0;
-    double d = 0;
-    if (key == "ranks" && parse_int(value, &ll)) {
-      opts.machine.ranks = static_cast<int>(ll);
-    } else if (key == "topology" && !value.empty()) {
-      opts.machine.topology = value;
-    } else if (key == "ranks-per-node" && parse_int(value, &ll)) {
-      opts.machine.ranks_per_node = static_cast<int>(ll);
+    if (key == "ranks") {
+      ok = set_from(parse_int<int>(value, 1), m.ranks);
+    } else if (key == "topology") {
+      spec(!value.empty(), m.topology);
+    } else if (key == "ranks-per-node") {
+      ok = set_from(parse_int<int>(value, 1), m.ranks_per_node);
     } else if (key == "link-latency") {
-      auto t = parse_duration(value);
-      if (!t) return fail("bad --link-latency");
-      opts.machine.net.link_latency = *t;
-    } else if (key == "bandwidth" && parse_double(value, &d)) {
-      opts.machine.net.bandwidth_bytes_per_sec = d;
-      opts.machine.net.injection_bandwidth_bytes_per_sec = d;
+      ok = set_from(parse_duration(value), m.net.link_latency);
+    } else if (key == "bandwidth") {
+      ok = set_from(parse_double(value, kPositive), m.net.bandwidth_bytes_per_sec);
+      m.net.injection_bandwidth_bytes_per_sec = m.net.bandwidth_bytes_per_sec;
     } else if (key == "overhead") {
-      auto t = parse_duration(value);
-      if (!t) return fail("bad --overhead");
-      opts.machine.net.per_message_overhead = *t;
-    } else if (key == "eager-threshold" && parse_int(value, &ll)) {
-      opts.machine.net.eager_threshold = static_cast<std::size_t>(ll);
+      ok = set_from(parse_duration(value), m.net.per_message_overhead);
+    } else if (key == "eager-threshold") {
+      ok = set_from(parse_int<std::size_t>(value), m.net.eager_threshold);
     } else if (key == "failure-timeout") {
-      auto t = parse_duration(value);
-      if (!t) return fail("bad --failure-timeout");
-      opts.machine.net.failure_timeout = *t;
+      ok = set_from(parse_duration(value), m.net.failure_timeout);
     } else if (key == "routing") {
-      if (!parse_routing_spec(value)) return fail("bad --routing");
-      opts.machine.routing = value;
+      spec(parse_routing_spec(value).has_value(), m.routing);
     } else if (key == "link-timeouts") {
-      auto spec = parse_link_timeout_spec(value);
-      if (!spec) return fail("bad --link-timeouts");
-      opts.machine.net.link_timeouts = *spec;
+      ok = set_from(parse_link_timeout_spec(value), m.net.link_timeouts);
     } else if (key == "contention") {
-      opts.machine.net.contention = true;
-    } else if (key == "slowdown" && parse_double(value, &d)) {
-      opts.machine.proc.slowdown = d;
-    } else if (key == "ns-per-unit" && parse_double(value, &d)) {
-      opts.machine.proc.reference_ns_per_unit = d;
-    } else if (key == "pfs-bandwidth" && parse_double(value, &d)) {
-      opts.machine.pfs.aggregate_bandwidth_bytes_per_sec = d;
+      flag(m.net.contention);
+    } else if (key == "slowdown") {
+      ok = set_from(parse_double(value, kPositive), m.proc.slowdown);
+    } else if (key == "ns-per-unit") {
+      ok = set_from(parse_double(value, 0.0), m.proc.reference_ns_per_unit);
+    } else if (key == "pfs-bandwidth") {
+      ok = set_from(parse_double(value, 0.0), m.pfs.aggregate_bandwidth_bytes_per_sec);
     } else if (key == "pfs-latency") {
-      auto t = parse_duration(value);
-      if (!t) return fail("bad --pfs-latency");
-      opts.machine.pfs.metadata_latency = *t;
+      ok = set_from(parse_duration(value), m.pfs.metadata_latency);
     } else if (key == "storage") {
-      if (!parse_storage_spec(value)) return fail("bad --storage");
-      opts.machine.storage = value;
+      spec(parse_storage_spec(value).has_value(), m.storage);
     } else if (key == "ckpt-mode") {
-      if (!ckpt::parse_ckpt_mode(value)) return fail("bad --ckpt-mode");
-      opts.machine.ckpt_mode = value;
+      spec(ckpt::parse_ckpt_mode(value).has_value(), m.ckpt_mode);
     } else if (key == "failures") {
-      auto schedule = FailureSchedule::parse(value);
-      if (!schedule) return fail("bad --failures");
-      opts.machine.failures = schedule->specs();
+      const auto schedule = FailureSchedule::parse(value);
+      ok = schedule.has_value();
+      if (ok) m.failures = schedule->specs();
     } else if (key == "failure-detector") {
-      auto spec = resilience::parse_detector_spec(value);
-      if (!spec) return fail("bad --failure-detector");
-      opts.machine.detector = *spec;
+      ok = set_from(resilience::parse_detector_spec(value), m.detector);
     } else if (key == "mttf") {
-      auto t = parse_duration(value);
-      if (!t) return fail("bad --mttf");
-      opts.mttf = *t;
+      ok = set_from(parse_duration(value), opts.mttf);
     } else if (key == "distribution") {
       if (value == "uniform2m") {
         opts.distribution = FailureDistribution::kUniform2Mttf;
@@ -205,60 +169,67 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::stri
       } else if (value == "weibull") {
         opts.distribution = FailureDistribution::kWeibull;
       } else {
-        return fail("bad --distribution");
+        ok = false;
       }
-    } else if (key == "seed" && parse_int(value, &ll)) {
-      opts.seed = static_cast<std::uint64_t>(ll);
-    } else if (key == "max-restarts" && parse_int(value, &ll)) {
-      opts.max_restarts = static_cast<int>(ll);
-    } else if (key == "replicates" && parse_int(value, &ll)) {
-      if (ll < 1) return fail("bad --replicates");
-      opts.replicates = static_cast<int>(ll);
-    } else if (key == "jobs" && parse_int(value, &ll)) {
-      opts.jobs = static_cast<int>(ll);
+    } else if (key == "seed") {
+      ok = set_from(parse_int<std::uint64_t>(value), opts.seed);
+    } else if (key == "max-restarts") {
+      ok = set_from(parse_int<int>(value, 0), opts.max_restarts);
+    } else if (key == "replicates") {
+      ok = set_from(parse_int<int>(value, 1), opts.replicates);
+    } else if (key == "jobs") {
+      ok = set_from(parse_int<int>(value, 0, 1 << 20), opts.jobs);
     } else if (key == "sim-workers") {
-      if (value == "auto") {
-        opts.machine.sim_workers = -1;
-      } else if (parse_int(value, &ll) && ll >= 1) {
-        opts.machine.sim_workers = static_cast<int>(ll);
-      } else {
-        return fail("bad --sim-workers");
-      }
+      ok = set_from(value == "auto" ? std::optional<int>(-1) : parse_int<int>(value, 1, 1 << 20),
+                    m.sim_workers);
     } else if (key == "scheduler") {
-      if (!parse_scheduler_spec(value)) return fail("bad --scheduler");
-      opts.machine.scheduler = value;
+      spec(parse_scheduler_spec(value).has_value(), m.scheduler);
     } else if (key == "speculate") {
-      if (!parse_int(value, &ll) || ll < 0) return fail("bad --speculate");
-      opts.machine.speculate = static_cast<int>(ll);
-    } else if (key == "stack-bytes" && parse_int(value, &ll)) {
-      opts.machine.process.fiber_stack_bytes = static_cast<std::size_t>(ll);
+      ok = set_from(parse_int<int>(value, 0), m.speculate);
+    } else if (key == "stack-bytes") {
+      ok = set_from(parse_int<std::size_t>(value, 0, std::size_t{1} << 30),
+                    m.process.fiber_stack_bytes);
     } else if (key == "no-pool") {
       // Escape hatch for debugging/benchmarking: provenance headers let
       // blocks allocated before the flip still free correctly.
-      util::set_pool_enabled(false);
-      opts.no_pool = true;
+      flag(opts.no_pool);
+      if (ok) util::set_pool_enabled(false);
     } else if (key == "measured-compute") {
-      opts.machine.process.measured_compute = true;
+      flag(m.process.measured_compute);
     } else if (key == "sim-time-file") {
       opts.sim_time_file = value;
     } else if (key == "verbose") {
-      opts.verbose = true;
-      Log::set_level(LogLevel::kInfo);
+      flag(opts.verbose);
+      if (ok) Log::set_level(LogLevel::kInfo);
     } else {
-      return fail("unknown or malformed option: " + arg);
+      return fail("unknown option: " + arg);
     }
+    if (!ok) return fail("bad --" + key);
   }
 
   // Unless a topology was given, default to a star big enough for the rank
   // count (the flat model every rank-pair is 2 hops away in).
-  if (opts.machine.topology == SimConfig{}.topology) {
-    const int nodes =
-        (opts.machine.ranks + opts.machine.ranks_per_node - 1) / opts.machine.ranks_per_node;
-    opts.machine.topology = "star:" + std::to_string(nodes);
+  if (m.topology == SimConfig{}.topology) {
+    const int nodes = (m.ranks - 1) / m.ranks_per_node + 1;
+    m.topology = "star:" + std::to_string(nodes);
   }
 
-  if (auto bad = FailureSchedule(opts.machine.failures).first_invalid_rank(opts.machine.ranks)) {
+  if (auto bad = FailureSchedule(m.failures).first_invalid_rank(m.ranks)) {
     return fail("failure schedule rank out of range: " + std::to_string(*bad));
+  }
+
+  // Resolve every setting that defers to the environment now, so a malformed
+  // EXASIM_* value or a configuration outside the determinism contract fails
+  // at parse time instead of inside a run.
+  try {
+    resolve_routing_spec(m.routing);
+    resolve_scheduler_spec(m.scheduler);
+    resolve_speculation(m.speculate);
+    ckpt::resolve_ckpt_mode(m.ckpt_mode);
+    check_contention(m.net.contention, resolve_storage_spec(m.storage).any_contended(),
+                     resolve_sim_workers(m.sim_workers));
+  } catch (const std::invalid_argument& e) {
+    return fail(e.what());
   }
   return opts;
 }

@@ -65,8 +65,10 @@ struct CliOptions {
   std::vector<std::string> positional;  ///< Non-option arguments.
 };
 
-/// Parses argv plus the EXASIM_FAILURES environment variable. Returns
-/// nullopt and fills *error on malformed input.
+/// Parses argv plus the EXASIM_FAILURES environment variable, and resolves
+/// every setting that defers to an EXASIM_* variable. Returns nullopt and
+/// fills *error on malformed input, a malformed EXASIM_* value, or
+/// contention on more than one sim worker (core::check_contention).
 std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::string* error);
 
 /// The environment variable consulted for a failure schedule (paper §IV-B).

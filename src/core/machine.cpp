@@ -14,9 +14,18 @@
 
 namespace exasim::core {
 
+void check_contention(bool link_contention, bool storage_contention, int sim_workers) {
+  if (sim_workers <= 1 || !(link_contention || storage_contention)) return;
+  throw std::invalid_argument(std::string(link_contention ? "link" : "storage") +
+                              " contention needs --sim-workers=1 (got " +
+                              std::to_string(sim_workers) +
+                              "): contended delays depend on the sharded engine's windows");
+}
+
 Machine::Machine(SimConfig config, vmpi::AppMain app)
     : config_(std::move(config)), app_(std::move(app)) {
   if (config_.ranks <= 0) throw std::invalid_argument("ranks <= 0");
+  if (config_.ranks_per_node <= 0) throw std::invalid_argument("ranks_per_node <= 0");
   for (const auto& f : config_.failures) {
     if (f.rank < 0 || f.rank >= config_.ranks) {
       throw std::invalid_argument("failure schedule rank out of range");
@@ -32,8 +41,7 @@ Machine::Machine(SimConfig config, vmpi::AppMain app)
     network_ = config_.network;
   } else {
     std::shared_ptr<const Topology> topo = make_topology(config_.topology);
-    const int needed_nodes =
-        (config_.ranks + config_.ranks_per_node - 1) / config_.ranks_per_node;
+    const int needed_nodes = (config_.ranks - 1) / config_.ranks_per_node + 1;
     if (topo->node_count() < needed_nodes) {
       throw std::invalid_argument("topology too small for rank count");
     }
@@ -76,6 +84,8 @@ Machine::Machine(SimConfig config, vmpi::AppMain app)
     storage_spec.preset.clear();
   }
   storage_ = std::make_unique<StorageHierarchy>(std::move(storage_spec));
+  sim_workers_ = resolve_sim_workers(config_.sim_workers);
+  check_contention(network_->params().contention, storage_->any_contended(), sim_workers_);
   if (config_.power) {
     energy_ = std::make_unique<EnergyLedger>(config_.ranks, *config_.power);
   }
@@ -140,24 +150,11 @@ SimResult Machine::run() {
   const auto* hier = dynamic_cast<const HierarchicalNetwork*>(network_.get());
   const SchedulerSpec scheduler = resolve_scheduler_spec(config_.scheduler);
   Engine::ShardingOptions shard;
-  shard.workers = resolve_sim_workers(config_.sim_workers);
+  shard.workers = sim_workers_;
   shard.lookahead = network_->min_remote_latency();
   shard.block_alignment = hier ? hier->ranks_per_node() : config_.ranks_per_node;
   shard.scheduler = scheduler;
   shard.speculate = resolve_speculation(config_.speculate);
-  if (network_->params().contention && shard.workers > 1) {
-    // Busy-window interleaving across LP groups depends on window boundaries:
-    // contention delays are a modeled approximation there, not the exact
-    // sequential schedule. Everything else stays deterministic.
-    EXASIM_WARN() << "link contention with " << shard.workers
-                  << " sim workers: contended delays are approximate; use "
-                     "--sim-workers=1 for exact contention modeling";
-  }
-  if (storage_->any_contended() && shard.workers > 1) {
-    EXASIM_WARN() << "storage contention with " << shard.workers
-                  << " sim workers: occupancy-window delays are approximate; "
-                     "use --sim-workers=1 for exact contention modeling";
-  }
   engine_.set_sharding(std::move(shard));
   engine_.set_causality_mode(Engine::CausalityMode::kCount);
 

@@ -117,6 +117,13 @@ struct SimConfig {
   int speculate = -1;
 };
 
+/// Rejects contention the determinism contract cannot cover: per-link and
+/// storage-tier occupancy windows are resolved in event order, which depends
+/// on window boundaries once more than one sim worker runs. Throws
+/// std::invalid_argument for either kind of contention on more than one
+/// worker. parse_cli and the Machine constructor both apply it.
+void check_contention(bool link_contention, bool storage_contention, int sim_workers);
+
 /// Result of one simulated application execution.
 struct SimResult {
   enum class Outcome : std::uint8_t { kCompleted, kAborted, kDeadlock };
@@ -284,6 +291,7 @@ class Machine final : public vmpi::SystemHooks {
   resilience::NoticeLog notice_log_;
   std::unique_ptr<ProcessorModel> proc_model_;
   std::unique_ptr<StorageHierarchy> storage_;
+  int sim_workers_ = 1;  ///< Resolved SimConfig::sim_workers.
   std::unique_ptr<EnergyLedger> energy_;
   std::unique_ptr<vmpi::MemoryTraceSink> trace_;
   std::vector<std::unique_ptr<vmpi::SimProcess>> processes_;

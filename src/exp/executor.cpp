@@ -1,9 +1,11 @@
 #include "exp/executor.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
+
+#include "util/parse.hpp"
 
 namespace exasim::exp {
 
@@ -14,22 +16,16 @@ int hardware_jobs() {
 
 namespace {
 
-bool parse_jobs_value(const char* text, int* out) {
-  if (text == nullptr || *text == '\0') return false;
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || v < 0 || v > 1 << 20) return false;
-  *out = static_cast<int>(v);
-  return true;
+/// A job count: 0 = all hardware threads.
+std::optional<int> parse_jobs(std::string_view text) {
+  const auto jobs = parse_int<int>(text, 0, 1 << 20);
+  if (jobs == 0) return hardware_jobs();
+  return jobs;
 }
 
 }  // namespace
 
-int default_jobs() {
-  int v = 0;
-  if (!parse_jobs_value(std::getenv("EXASIM_JOBS"), &v)) return 1;
-  return v == 0 ? hardware_jobs() : v;
-}
+int default_jobs() { return resolve(std::string(), "EXASIM_JOBS", parse_jobs, 1, "job count"); }
 
 int resolve_jobs(int requested) {
   if (requested > 0) return requested;
@@ -45,13 +41,14 @@ int compose_jobs(int requested_jobs, int sim_workers_per_run) {
 
 int jobs_from_cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    int v = 0;
+    const std::string_view arg = argv[i];
+    std::optional<int> jobs;
     if (arg.rfind("--jobs=", 0) == 0) {
-      if (parse_jobs_value(arg.c_str() + 7, &v)) return v == 0 ? hardware_jobs() : v;
+      jobs = parse_jobs(arg.substr(7));
     } else if (arg == "--jobs" && i + 1 < argc) {
-      if (parse_jobs_value(argv[i + 1], &v)) return v == 0 ? hardware_jobs() : v;
+      jobs = parse_jobs(argv[i + 1]);
     }
+    if (jobs) return *jobs;
   }
   return -1;
 }

@@ -17,7 +17,8 @@ namespace exasim::exp {
 int hardware_jobs();
 
 /// Job count from the EXASIM_JOBS environment variable: a positive value is
-/// used as-is, 0 means "all hardware threads", unset/invalid means 1.
+/// used as-is, 0 means "all hardware threads", unset or empty means 1.
+/// Anything else throws std::invalid_argument.
 int default_jobs();
 
 /// Resolves a requested job count: > 0 as-is, 0 = all hardware threads,

@@ -1,9 +1,6 @@
 #include "iomodel/storage.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -13,38 +10,21 @@ namespace exasim {
 
 namespace {
 
-/// Non-negative finite double with full-string consumption — the same
-/// hardening posture as make_topology / parse_link_timeout_spec (PR 7):
-/// reject trailing garbage, overflow (ERANGE), inf/nan, and negatives.
-bool parse_double_field(const std::string& v, double* out) {
-  if (v.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(v.c_str(), &end);
-  if (end != v.c_str() + v.size() || errno == ERANGE) return false;
-  if (!std::isfinite(parsed) || parsed < 0) return false;
-  *out = parsed;
-  return true;
-}
-
-bool parse_bool_field(const std::string& v, bool* out) {
-  if (v == "0") { *out = false; return true; }
-  if (v == "1") { *out = true; return true; }
-  return false;
-}
-
-std::string format_duration(SimTime t) {
-  if (t % 1'000'000'000 == 0) return std::to_string(t / 1'000'000'000) + "s";
-  if (t % 1'000'000 == 0) return std::to_string(t / 1'000'000) + "ms";
-  if (t % 1'000 == 0) return std::to_string(t / 1'000) + "us";
-  return std::to_string(t) + "ns";
-}
-
+/// Shortest of 15 or 17 significant digits that reads back as `v`: 15 keeps
+/// the familiar spellings (1e11 prints "100000000000"), 17 round-trips every
+/// double. An exponent drops its '+', which the tier list reads as ';'.
 std::string format_double(double v) {
   std::ostringstream os;
   os.precision(15);
   os << v;
-  return os.str();
+  if (parse_double(os.str()) != v) {
+    os.str("");
+    os.precision(17);
+    os << v;
+  }
+  std::string s = os.str();
+  if (const auto plus = s.find("e+"); plus != std::string::npos) s.erase(plus + 1, 1);
+  return s;
 }
 
 std::optional<StorageTierKind> tier_kind_of(const std::string& name) {
@@ -55,42 +35,21 @@ std::optional<StorageTierKind> tier_kind_of(const std::string& name) {
 }
 
 std::optional<TierParams> parse_tier(const std::string& text) {
-  std::string head = text;
-  std::string opts;
-  if (auto colon = text.find(':'); colon != std::string::npos) {
-    head = text.substr(0, colon);
-    opts = text.substr(colon + 1);
-  }
-  const auto kind = tier_kind_of(head);
+  const auto [head, body] = split_spec(text);
+  const auto kind = tier_kind_of(std::string(head));
   if (!kind) return std::nullopt;
   TierParams tier;
   tier.kind = *kind;
-  // split_trimmed drops empty pieces, so "mem:" or "mem:bw=1,," would slip
-  // through silently; insist options are non-empty when the colon is present.
-  if (text.find(':') != std::string::npos && opts.empty()) return std::nullopt;
-  for (const auto& field : split_trimmed(opts, ',')) {
-    const auto eq = field.find('=');
-    if (eq == std::string::npos) return std::nullopt;
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    if (key == "bw") {
-      if (!parse_double_field(value, &tier.io.aggregate_bandwidth_bytes_per_sec))
-        return std::nullopt;
-    } else if (key == "cbw") {
-      if (!parse_double_field(value, &tier.io.per_client_bandwidth_bytes_per_sec))
-        return std::nullopt;
-    } else if (key == "lat") {
-      const auto t = parse_duration(value);
-      if (!t) return std::nullopt;
-      tier.io.metadata_latency = *t;
-    } else if (key == "cap") {
-      if (!parse_double_field(value, &tier.capacity_bytes)) return std::nullopt;
-    } else if (key == "contend") {
-      if (!parse_bool_field(value, &tier.contended)) return std::nullopt;
-    } else {
-      return std::nullopt;
-    }
-  }
+  auto field = [&tier](std::string_view key, std::string_view value) {
+    const auto bytes = parse_double(value, 0.0);  // bw, cbw and cap.
+    if (key == "bw") return set_from(bytes, tier.io.aggregate_bandwidth_bytes_per_sec);
+    if (key == "cbw") return set_from(bytes, tier.io.per_client_bandwidth_bytes_per_sec);
+    if (key == "lat") return set_from(parse_duration(value), tier.io.metadata_latency);
+    if (key == "cap") return set_from(bytes, tier.capacity_bytes);
+    if (key == "contend") return set_from(parse_bool(value), tier.contended);
+    return false;
+  };
+  if (body && !parse_fields(*body, field)) return std::nullopt;
   return tier;
 }
 
@@ -181,15 +140,7 @@ const std::vector<StoragePresetInfo>& list_storage() {
 }
 
 StorageSpec resolve_storage_spec(const std::string& configured) {
-  if (!configured.empty()) {
-    auto spec = parse_storage_spec(configured);
-    if (!spec) throw std::invalid_argument("malformed storage spec: " + configured);
-    return *spec;
-  }
-  if (const char* env = std::getenv(kStorageEnvVar); env != nullptr && *env != '\0') {
-    if (auto spec = parse_storage_spec(env)) return *spec;
-  }
-  return StorageSpec{};
+  return resolve(configured, kStorageEnvVar, parse_storage_spec, StorageSpec{}, "storage spec");
 }
 
 StorageHierarchy::StorageHierarchy(StorageSpec spec) : spec_(std::move(spec)) {
@@ -218,11 +169,11 @@ bool StorageHierarchy::is_free() const {
   for (const auto& m : models_) {
     if (!m.is_free()) return false;
   }
-  return !any_contended();
+  return !spec_.any_contended();
 }
 
-bool StorageHierarchy::any_contended() const {
-  for (const auto& tier : spec_.tiers) {
+bool StorageSpec::any_contended() const {
+  for (const auto& tier : tiers) {
     if (tier.contended) return true;
   }
   return false;

@@ -33,8 +33,8 @@ struct TierParams {
   /// shared tiers divide capacity evenly over the world size.
   double capacity_bytes = 0;
   /// Fold occupancy-window waits into transfer times (the same queueing
-  /// shape as per-link network contention, DESIGN.md §12): exact at
-  /// --sim-workers=1, approximate otherwise (core::Machine warns).
+  /// shape as per-link network contention, DESIGN.md §12). Exact only on one
+  /// sim worker: core rejects a contended tier on more than one.
   bool contended = false;
 
   friend bool operator==(const TierParams&, const TierParams&) = default;
@@ -59,6 +59,9 @@ struct StorageSpec {
   bool is_default() const {
     return tiers.size() == 1 && tiers.front() == TierParams{};
   }
+
+  /// True when any tier folds occupancy waits into transfer times.
+  bool any_contended() const;
 
   friend bool operator==(const StorageSpec& a, const StorageSpec& b) {
     return a.tiers == b.tiers;  // The preset name is presentation, not config.
@@ -87,9 +90,9 @@ const std::vector<StoragePresetInfo>& list_storage();
 inline constexpr const char* kStorageEnvVar = "EXASIM_STORAGE";
 
 /// Resolves a configured spec string (core::SimConfig::storage): empty
-/// defers to EXASIM_STORAGE, unset/malformed environment means the default
-/// free PFS. Throws std::invalid_argument on a malformed non-empty
-/// `configured`.
+/// defers to EXASIM_STORAGE, unset environment means the default free PFS.
+/// Throws std::invalid_argument on a malformed `configured` or
+/// EXASIM_STORAGE.
 StorageSpec resolve_storage_spec(const std::string& configured);
 
 /// The machine's storage stack: per-tier PfsModel cost math plus optional
@@ -116,7 +119,7 @@ class StorageHierarchy {
   /// configuration).
   bool is_free() const;
 
-  bool any_contended() const;
+  bool any_contended() const { return spec_.any_contended(); }
 
   /// Whether `bytes` fit the tier's capacity budget: node memory must hold
   /// `replicas` copies per rank (own + hosted partner images); shared tiers

@@ -52,27 +52,40 @@ std::optional<std::vector<int>> parse_victims(const std::string& text, int ranks
     for (int r = 0; r < ranks; ++r) out.push_back(r);
     return out;
   }
-  if (text.rfind("stride:", 0) == 0) {
-    try {
-      const int stride = std::stoi(text.substr(7));
-      if (stride <= 0) return std::nullopt;
-      for (int r = 0; r < ranks; r += stride) out.push_back(r);
-      return out;
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
+  if (const auto [head, body] = split_spec(text); head == "stride" && body) {
+    const auto stride = parse_int<int>(*body, 1);
+    if (!stride) return std::nullopt;
+    for (int r = 0; r < ranks; r += *stride) out.push_back(r);
+    return out;
   }
   for (const auto& piece : split_trimmed(text, ',')) {
-    try {
-      const int r = std::stoi(piece);
-      if (r < 0 || r >= ranks) return std::nullopt;
-      out.push_back(r);
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
+    const auto r = parse_int<int>(piece, 0, ranks - 1);
+    if (!r) return std::nullopt;
+    out.push_back(*r);
   }
   if (out.empty()) return std::nullopt;
   return out;
+}
+
+std::optional<std::pair<SimTime, SimTime>> parse_window(const std::string& text) {
+  const auto sep = text.find("..");
+  if (sep == std::string::npos) return std::nullopt;
+  const auto lo = parse_duration(std::string_view(text).substr(0, sep));
+  const auto hi = parse_duration(std::string_view(text).substr(sep + 2));
+  if (!lo || !hi || *hi <= *lo) return std::nullopt;
+  return std::pair{*lo, *hi};
+}
+
+std::optional<std::pair<int, int>> parse_grid(const std::string& text) {
+  const auto [head, body] = split_spec(text);
+  const auto grid = parse_int<int>(head, 2, 1 << 20);
+  const auto depth = body ? parse_int<int>(*body, 0, 20) : LatticeSpec{}.depth;
+  if (!grid || !depth) return std::nullopt;
+  return std::pair{*grid, *depth};
+}
+
+std::optional<std::uint64_t> parse_budget(const std::string& text) {
+  return parse_int<std::uint64_t>(text);
 }
 
 std::optional<std::vector<resilience::DetectorSpec>> parse_detector_list(

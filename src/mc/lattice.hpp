@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/tiered.hpp"
@@ -88,6 +89,16 @@ class ScenarioLattice {
 /// machine's rank count. Returns nullopt on malformed input or out-of-range
 /// ranks.
 std::optional<std::vector<int>> parse_victims(const std::string& text, int ranks);
+
+/// Parses an injection window "LO..HI" (durations, LO < HI).
+std::optional<std::pair<SimTime, SimTime>> parse_window(const std::string& text);
+
+/// Parses a time grid "N[:D]" — N >= 2 initial points, 0 <= D <= 20
+/// refinement levels (default LatticeSpec::depth); returns {N, D}.
+std::optional<std::pair<int, int>> parse_grid(const std::string& text);
+
+/// Parses a scenario-evaluation budget (unsigned; 0 = unlimited).
+std::optional<std::uint64_t> parse_budget(const std::string& text);
 
 /// Parses a ';'-separated list of detector specs (';' because specs contain
 /// ',' options), e.g. "paper-instant;timeout;heartbeat:period=auto,miss=3".

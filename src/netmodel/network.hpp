@@ -30,7 +30,7 @@ struct NetworkParams {
   /// spec keeps `failure_timeout` for every link and builds no table.
   LinkTimeoutSpec link_timeouts;
   /// Fold per-link occupancy windows into delivery times (off by default;
-  /// exactly deterministic only at --sim-workers=1).
+  /// deterministic only at --sim-workers=1, so core rejects more workers).
   bool contention = false;
 };
 

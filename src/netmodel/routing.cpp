@@ -1,7 +1,6 @@
 #include "netmodel/routing.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "util/parse.hpp"
@@ -19,59 +18,18 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-bool parse_int_field(const std::string& v, int* out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  const long parsed = std::strtol(v.c_str(), &end, 10);
-  if (end != v.c_str() + v.size() || parsed < 1 || parsed > 1 << 20) return false;
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-bool parse_u64_field(const std::string& v, std::uint64_t* out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-  if (end != v.c_str() + v.size()) return false;
-  *out = parsed;
-  return true;
-}
-
-std::string format_duration(SimTime t) {
-  if (t % 1'000'000'000 == 0) return std::to_string(t / 1'000'000'000) + "s";
-  if (t % 1'000'000 == 0) return std::to_string(t / 1'000'000) + "ms";
-  if (t % 1'000 == 0) return std::to_string(t / 1'000) + "us";
-  return std::to_string(t) + "ns";
-}
-
 }  // namespace
 
 std::optional<RoutingSpec> parse_routing_spec(const std::string& text) {
+  const auto [head, body] = split_spec(text);
   RoutingSpec spec;
-  std::string head = text;
-  std::string opts;
-  if (auto colon = text.find(':'); colon != std::string::npos) {
-    head = text.substr(0, colon);
-    opts = text.substr(colon + 1);
-  }
-  if (head == "deterministic") {
-    spec.kind = RoutingKind::kDeterministic;
-    if (!opts.empty()) return std::nullopt;  // Deterministic takes no options.
-    return spec;
-  }
+  if (head == "deterministic" && !body) return spec;  // Takes no options.
   if (head != "adaptive") return std::nullopt;
   spec.kind = RoutingKind::kAdaptive;
-  for (const auto& field : split_trimmed(opts, ',')) {
-    const auto eq = field.find('=');
-    if (eq == std::string::npos) return std::nullopt;
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    if (key == "spread") {
-      if (!parse_int_field(value, &spec.spread)) return std::nullopt;
-    } else {
-      return std::nullopt;
-    }
-  }
+  auto field = [&spec](std::string_view key, std::string_view value) {
+    return key == "spread" && set_from(parse_int<int>(value, 1, 1 << 20), spec.spread);
+  };
+  if (body && !parse_fields(*body, field)) return std::nullopt;
   return spec;
 }
 
@@ -89,15 +47,7 @@ const std::vector<std::string>& list_routings() {
 }
 
 RoutingSpec resolve_routing_spec(const std::string& configured) {
-  if (!configured.empty()) {
-    auto spec = parse_routing_spec(configured);
-    if (!spec) throw std::invalid_argument("malformed routing spec: " + configured);
-    return *spec;
-  }
-  if (const char* env = std::getenv(kRoutingEnvVar); env != nullptr && *env != '\0') {
-    if (auto spec = parse_routing_spec(env)) return *spec;
-  }
-  return RoutingSpec{};
+  return resolve(configured, kRoutingEnvVar, parse_routing_spec, RoutingSpec{}, "routing spec");
 }
 
 std::uint64_t AdaptiveRouting::variant(int src, int dst, std::uint64_t seq,
@@ -119,29 +69,23 @@ std::unique_ptr<RoutingPolicy> make_routing(const RoutingSpec& spec) {
 }
 
 std::optional<LinkTimeoutSpec> parse_link_timeout_spec(const std::string& text) {
+  const auto [head, body] = split_spec(text);
   LinkTimeoutSpec spec;
-  std::string head = text;
-  std::string opts;
-  if (auto colon = text.find(':'); colon != std::string::npos) {
-    head = text.substr(0, colon);
-    opts = text.substr(colon + 1);
-  }
 
   if (head == "uniform") {
-    if (opts.empty()) return spec;  // Plain "uniform": no table at all.
+    if (!body) return spec;  // Plain "uniform": no table at all.
     spec.kind = LinkTimeoutKind::kDistribution;
     // "LO..HI[,seed=N]".
-    std::string range = opts;
-    if (auto comma = opts.find(','); comma != std::string::npos) {
-      range = opts.substr(0, comma);
-      for (const auto& field : split_trimmed(opts.substr(comma + 1), ',')) {
-        const auto eq = field.find('=');
-        if (eq == std::string::npos || field.substr(0, eq) != "seed") return std::nullopt;
-        if (!parse_u64_field(field.substr(eq + 1), &spec.seed)) return std::nullopt;
-      }
+    auto field = [&spec](std::string_view key, std::string_view value) {
+      return key == "seed" && set_from(parse_int<std::uint64_t>(value), spec.seed);
+    };
+    const auto comma = body->find(',');
+    if (comma != std::string_view::npos && !parse_fields(body->substr(comma + 1), field)) {
+      return std::nullopt;
     }
+    const std::string_view range = body->substr(0, comma);
     const auto dots = range.find("..");
-    if (dots == std::string::npos) return std::nullopt;
+    if (dots == std::string_view::npos) return std::nullopt;
     const auto lo = parse_duration(range.substr(0, dots));
     const auto hi = parse_duration(range.substr(dots + 2));
     if (!lo || !hi || *hi < *lo) return std::nullopt;
@@ -150,28 +94,28 @@ std::optional<LinkTimeoutSpec> parse_link_timeout_spec(const std::string& text) 
     return spec;
   }
 
-  if (head == "hot" || head == "plane") {
-    if (opts.empty()) return std::nullopt;
+  if ((head == "hot" || head == "plane") && body) {
     // Accept ',' in place of ';' so the spec survives shells and ParamMaps
     // that treat ';' specially.
-    std::replace(opts.begin(), opts.end(), ',', ';');
-    for (const auto& field : split_trimmed(opts, ';')) {
+    std::string table(*body);
+    std::replace(table.begin(), table.end(), ',', ';');
+    for (const auto& field : split_trimmed(table, ';')) {
       const auto eq = field.find('=');
       if (eq == std::string::npos) return std::nullopt;
-      const std::string key = field.substr(0, eq);
-      const auto dur = parse_duration(field.substr(eq + 1));
+      const std::string_view key = std::string_view(field).substr(0, eq);
+      const auto dur = parse_duration(std::string_view(field).substr(eq + 1));
       if (!dur) return std::nullopt;
       if (head == "hot") {
-        std::uint64_t id = 0;
-        if (!parse_u64_field(key, &id)) return std::nullopt;
-        spec.hot.emplace_back(id, *dur);
+        const auto id = parse_int<std::uint64_t>(key);
+        if (!id) return std::nullopt;
+        spec.hot.emplace_back(*id, *dur);
       } else {
-        int plane = -1;
-        if (key.size() != 1 || key[0] < '0' || key[0] > '9') return std::nullopt;
-        plane = key[0] - '0';
-        spec.planes.emplace_back(plane, *dur);
+        const auto plane = parse_int<int>(key, 0, 9);
+        if (key.size() != 1 || !plane) return std::nullopt;
+        spec.planes.emplace_back(*plane, *dur);
       }
     }
+    if (spec.hot.empty() && spec.planes.empty()) return std::nullopt;
     spec.kind = head == "hot" ? LinkTimeoutKind::kHot : LinkTimeoutKind::kPlane;
     return spec;
   }
@@ -206,18 +150,6 @@ std::string to_string(const LinkTimeoutSpec& spec) {
     }
   }
   return "uniform";
-}
-
-LinkTimeoutSpec resolve_link_timeout_spec(const std::string& configured) {
-  if (!configured.empty()) {
-    auto spec = parse_link_timeout_spec(configured);
-    if (!spec) throw std::invalid_argument("malformed link-timeout spec: " + configured);
-    return *spec;
-  }
-  if (const char* env = std::getenv(kLinkTimeoutsEnvVar); env != nullptr && *env != '\0') {
-    if (auto spec = parse_link_timeout_spec(env)) return *spec;
-  }
-  return LinkTimeoutSpec{};
 }
 
 std::vector<SimTime> build_link_timeouts(const LinkTimeoutSpec& spec,

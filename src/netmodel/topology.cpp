@@ -1,10 +1,11 @@
 #include "netmodel/topology.hpp"
 
-#include <cctype>
 #include <climits>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/parse.hpp"
 
 namespace exasim {
 namespace {
@@ -366,9 +367,9 @@ std::unique_ptr<Topology> make_topology(const std::string& spec) {
   const std::string kind = spec.substr(0, colon);
   const std::string dims = spec.substr(colon + 1);
 
-  // Strict dimension parsing: digits only (no sign, no trailing garbage),
-  // >= 1, and both each dimension and the node-count product must fit the
-  // int node-id space.
+  // Strict dimension parsing (parse_int: digits only, no sign, no trailing
+  // garbage), >= 1, and the node-count product must fit the int node-id
+  // space.
   auto parse_xyz = [&](int expected, const char* format) {
     auto fail = [&](const std::string& why) -> void {
       throw std::invalid_argument("bad topology spec \"" + spec + "\": " + why + " (expected " +
@@ -376,27 +377,19 @@ std::unique_ptr<Topology> make_topology(const std::string& spec) {
     };
     std::vector<int> out;
     long long product = 1;
-    std::size_t start = 0;
-    while (true) {
-      auto x = dims.find('x', start);
-      const std::string piece =
-          dims.substr(start, x == std::string::npos ? std::string::npos : x - start);
-      if (piece.empty()) fail("empty dimension");
-      for (char c : piece) {
-        if (!std::isdigit(static_cast<unsigned char>(c))) {
-          fail("dimension \"" + piece + "\" is not a positive integer");
-        }
-      }
-      if (piece.size() > 9) fail("dimension \"" + piece + "\" is too large");
-      const long long v = std::atoll(piece.c_str());
-      if (v < 1) fail("dimension \"" + piece + "\" must be >= 1");
-      product *= v;
+    for (std::string_view rest = dims;;) {
+      const auto x = rest.find('x');
+      const std::string_view piece = rest.substr(0, x);
+      const auto v = parse_int<int>(piece, 1);
+      if (!v) fail("dimension \"" + std::string(piece) + "\" is not an integer in [1, " +
+                   std::to_string(INT_MAX) + "]");
+      product *= *v;
       if (product > INT_MAX) {
         fail("node count overflows the int node-id space (max " + std::to_string(INT_MAX) + ")");
       }
-      out.push_back(static_cast<int>(v));
-      if (x == std::string::npos) break;
-      start = x + 1;
+      out.push_back(*v);
+      if (x == std::string_view::npos) break;
+      rest.remove_prefix(x + 1);
     }
     if (static_cast<int>(out.size()) != expected) {
       fail("got " + std::to_string(out.size()) + " dimension(s), need " +

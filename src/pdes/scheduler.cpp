@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <stdexcept>
+
+#include "util/parse.hpp"
 
 namespace exasim {
 
@@ -27,52 +27,24 @@ std::atomic<std::uint64_t> g_sched_idle_ns{0};
 constexpr std::uint64_t kSparseEvents = 64;
 constexpr std::uint64_t kDenseEvents = 8192;
 
-bool parse_int_field(const std::string& v, int* out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  const long parsed = std::strtol(v.c_str(), &end, 10);
-  if (end != v.c_str() + v.size() || parsed < 1 || parsed > 1 << 20) return false;
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
 }  // namespace
 
 std::optional<SchedulerSpec> parse_scheduler_spec(const std::string& text) {
+  const auto [head, body] = split_spec(text);
   SchedulerSpec spec;
-  std::string head = text;
-  std::string opts;
-  if (auto colon = text.find(':'); colon != std::string::npos) {
-    head = text.substr(0, colon);
-    opts = text.substr(colon + 1);
-  }
-  if (head == "fixed") {
-    spec.kind = SchedulerKind::kFixed;
-  } else if (head == "adaptive") {
+  if (head == "adaptive") {
     spec.kind = SchedulerKind::kAdaptive;
-  } else {
+  } else if (head != "fixed") {
     return std::nullopt;
   }
-  while (!opts.empty()) {
-    std::string field = opts;
-    if (auto comma = opts.find(','); comma != std::string::npos) {
-      field = opts.substr(0, comma);
-      opts = opts.substr(comma + 1);
-    } else {
-      opts.clear();
+  auto field = [&spec](std::string_view key, std::string_view value) {
+    const auto n = parse_int<int>(value, 1, 1 << 20);
+    if (key == "stretch" && spec.kind == SchedulerKind::kAdaptive) {
+      return set_from(n, spec.stretch_max);
     }
-    const auto eq = field.find('=');
-    if (eq == std::string::npos) return std::nullopt;
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    if (key == "stretch") {
-      if (!parse_int_field(value, &spec.stretch_max)) return std::nullopt;
-    } else if (key == "gpw") {
-      if (!parse_int_field(value, &spec.groups_per_worker)) return std::nullopt;
-    } else {
-      return std::nullopt;
-    }
-  }
+    return key == "gpw" && set_from(n, spec.groups_per_worker);
+  };
+  if (body && !parse_fields(*body, field)) return std::nullopt;
   return spec;
 }
 
@@ -102,25 +74,15 @@ const std::vector<std::string>& list_schedulers() {
 }
 
 SchedulerSpec resolve_scheduler_spec(const std::string& configured) {
-  if (!configured.empty()) {
-    auto spec = parse_scheduler_spec(configured);
-    if (!spec) throw std::invalid_argument("malformed scheduler spec: " + configured);
-    return *spec;
-  }
-  if (const char* env = std::getenv(kSchedulerEnvVar); env != nullptr && *env != '\0') {
-    if (auto spec = parse_scheduler_spec(env)) return *spec;
-  }
-  return SchedulerSpec{};
+  return resolve(configured, kSchedulerEnvVar, parse_scheduler_spec, SchedulerSpec{},
+                 "scheduler spec");
 }
 
 int resolve_speculation(int configured) {
   if (configured >= 0) return configured;
-  if (const char* env = std::getenv(kSpeculateEnvVar); env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 0) return static_cast<int>(parsed);
-  }
-  return 0;
+  return resolve(std::string(), kSpeculateEnvVar,
+                 [](std::string_view text) { return parse_int<int>(text, 0); }, 0,
+                 "speculation depth");
 }
 
 int FixedWindowPolicy::plan(const SchedFeedback& fb, SimTime lookahead,

@@ -28,9 +28,11 @@ struct SchedulerSpec {
   /// LP groups per worker thread: > 1 oversubscribes groups so finished
   /// workers can steal ready groups. 0 = policy default (fixed 1, adaptive 4).
   int groups_per_worker = 0;
+
+  friend bool operator==(const SchedulerSpec&, const SchedulerSpec&) = default;
 };
 
-/// Parses a scheduler spec string ("fixed", "adaptive",
+/// Parses a scheduler spec string ("fixed[:gpw=N]", "adaptive",
 /// "adaptive:stretch=N,gpw=N"); nullopt on malformed input.
 std::optional<SchedulerSpec> parse_scheduler_spec(const std::string& text);
 
@@ -45,16 +47,17 @@ const std::vector<std::string>& list_schedulers();
 inline constexpr const char* kSchedulerEnvVar = "EXASIM_SCHEDULER";
 
 /// Resolves a configured spec string (e.g. core::SimConfig::scheduler) to a
-/// SchedulerSpec: empty defers to EXASIM_SCHEDULER, unset/malformed
-/// environment means "fixed". Throws std::invalid_argument on a malformed
-/// non-empty `configured`.
+/// SchedulerSpec: empty defers to EXASIM_SCHEDULER, unset environment means
+/// "fixed". Throws std::invalid_argument on a malformed `configured` or
+/// EXASIM_SCHEDULER.
 SchedulerSpec resolve_scheduler_spec(const std::string& configured);
 
 /// Environment variable consulted when SimConfig::speculate is negative.
 inline constexpr const char* kSpeculateEnvVar = "EXASIM_SPECULATE";
 
 /// Resolves a configured speculation depth: >= 0 is taken literally, < 0
-/// defers to EXASIM_SPECULATE (unset/malformed = 0, speculation off).
+/// defers to EXASIM_SPECULATE (unset = 0, speculation off; malformed throws
+/// std::invalid_argument).
 int resolve_speculation(int configured);
 
 /// Per-cycle feedback the window synchronizer hands the policy. All vectors

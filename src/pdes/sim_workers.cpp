@@ -1,9 +1,9 @@
 #include "pdes/sim_workers.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
+
+#include "util/parse.hpp"
 
 #if defined(__linux__)
 #include <sched.h>
@@ -73,13 +73,12 @@ int hardware_sim_workers() {
 }
 
 int default_sim_workers() {
-  const char* env = std::getenv("EXASIM_SIM_WORKERS");
-  if (env == nullptr || *env == '\0') return 1;
-  if (std::strcmp(env, "auto") == 0) return hardware_sim_workers();
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || parsed < 1) return 1;
-  return static_cast<int>(parsed);
+  return resolve(std::string(), "EXASIM_SIM_WORKERS",
+                 [](std::string_view text) -> std::optional<int> {
+                   if (text == "auto") return hardware_sim_workers();
+                   return parse_int<int>(text, 1, 1 << 20);
+                 },
+                 1, "sim worker count");
 }
 
 int resolve_sim_workers(int requested) {

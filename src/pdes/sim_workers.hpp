@@ -11,8 +11,9 @@ namespace exasim {
 int hardware_sim_workers();
 
 /// Worker count implied by the environment: EXASIM_SIM_WORKERS set to a
-/// positive integer wins, "auto" means hardware_sim_workers(), anything else
-/// (including unset) means 1 — the sequential engine.
+/// positive integer wins, "auto" means hardware_sim_workers(), unset or empty
+/// means 1 — the sequential engine. Anything else throws
+/// std::invalid_argument.
 int default_sim_workers();
 
 /// Resolves a configured worker count (e.g. SimConfig::sim_workers) to the

@@ -1,7 +1,6 @@
 #include "util/parse.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -31,11 +30,47 @@ std::string format_sim_time(SimTime t) {
   return buf;
 }
 
+SpecParts split_spec(std::string_view text) {
+  const auto colon = text.find(':');
+  if (colon == std::string_view::npos) return {text, std::nullopt};
+  return {text.substr(0, colon), text.substr(colon + 1)};
+}
+
+bool parse_fields(std::string_view body,
+                  const std::function<bool(std::string_view, std::string_view)>& on_field) {
+  while (true) {
+    const auto comma = body.find(',');
+    const std::string_view piece = body.substr(0, comma);
+    const auto eq = piece.find('=');
+    if (eq == std::string_view::npos) return false;
+    const std::string_view key = trim(piece.substr(0, eq));
+    if (key.empty() || !on_field(key, trim(piece.substr(eq + 1)))) return false;
+    if (comma == std::string_view::npos) return true;
+    body.remove_prefix(comma + 1);
+  }
+}
+
+std::optional<double> parse_double(std::string_view text, double lo, double hi) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) || value < lo || value > hi) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<bool> parse_bool(std::string_view text) {
+  if (text == "0") return false;
+  if (text == "1") return true;
+  return std::nullopt;
+}
+
 std::optional<SimTime> parse_duration(std::string_view text) {
   text = trim(text);
-  if (text.empty()) return std::nullopt;
 
-  // Find the split between the numeric part and the unit suffix.
+  // Split the numeric part from the unit suffix; parse_double judges the
+  // number.
   std::size_t i = 0;
   while (i < text.size() &&
          (std::isdigit(static_cast<unsigned char>(text[i])) || text[i] == '.' ||
@@ -43,20 +78,10 @@ std::optional<SimTime> parse_duration(std::string_view text) {
           (text[i] == '-' && i > 0 && (text[i - 1] == 'e' || text[i - 1] == 'E')))) {
     ++i;
   }
-  std::string num(text.substr(0, i));
-  std::string_view unit = trim(text.substr(i));
-  if (num.empty()) return std::nullopt;
+  const auto value = parse_double(text.substr(0, i), 0.0);
+  if (!value) return std::nullopt;
 
-  double value = 0.0;
-  try {
-    std::size_t pos = 0;
-    value = std::stod(num, &pos);
-    if (pos != num.size()) return std::nullopt;
-  } catch (...) {
-    return std::nullopt;
-  }
-  if (value < 0.0 || !std::isfinite(value)) return std::nullopt;
-
+  const std::string_view unit = trim(text.substr(i));
   double scale;
   if (unit.empty() || unit == "s" || unit == "sec") {
     scale = 1e9;
@@ -73,7 +98,16 @@ std::optional<SimTime> parse_duration(std::string_view text) {
   } else {
     return std::nullopt;
   }
-  return static_cast<SimTime>(value * scale + 0.5);
+  const double ns = *value * scale + 0.5;
+  if (ns >= 18446744073709551616.0) return std::nullopt;  // 2^64: no SimTime.
+  return static_cast<SimTime>(ns);
+}
+
+std::string format_duration(SimTime t) {
+  if (t % 1'000'000'000 == 0) return std::to_string(t / 1'000'000'000) + "s";
+  if (t % 1'000'000 == 0) return std::to_string(t / 1'000'000) + "ms";
+  if (t % 1'000 == 0) return std::to_string(t / 1'000) + "us";
+  return std::to_string(t) + "ns";
 }
 
 std::vector<std::string> split_trimmed(std::string_view text, char sep) {
@@ -103,14 +137,10 @@ std::optional<std::vector<FailureSpec>> parse_failure_schedule(std::string_view 
     std::string_view rank_str = trim(std::string_view(piece).substr(0, at));
     std::string_view time_str = trim(std::string_view(piece).substr(at + 1));
 
-    int rank = -1;
-    auto [p, ec] = std::from_chars(rank_str.data(), rank_str.data() + rank_str.size(), rank);
-    if (ec != std::errc() || p != rank_str.data() + rank_str.size() || rank < 0) {
-      return std::nullopt;
-    }
-    auto t = parse_duration(time_str);
-    if (!t) return std::nullopt;
-    specs.push_back(FailureSpec{rank, *t});
+    const auto rank = parse_int<int>(rank_str, 0);
+    const auto t = parse_duration(time_str);
+    if (!rank || !t) return std::nullopt;
+    specs.push_back(FailureSpec{*rank, *t});
   }
   return specs;
 }
@@ -119,20 +149,23 @@ std::string format_failure_schedule(const std::vector<FailureSpec>& specs) {
   std::ostringstream os;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (i) os << ',';
-    os << specs[i].rank << '@' << to_seconds(specs[i].time) << 's';
+    std::ostringstream secs;
+    secs << to_seconds(specs[i].time) << 's';
+    os << specs[i].rank << '@'
+       << (parse_duration(secs.str()) == specs[i].time ? secs.str()
+                                                        : format_duration(specs[i].time));
   }
   return os.str();
 }
 
 std::optional<ParamMap> ParamMap::parse(std::string_view text) {
   ParamMap map;
-  for (const auto& piece : split_trimmed(text, ',')) {
-    auto eq = piece.find('=');
-    if (eq == std::string::npos) return std::nullopt;
-    std::string key(trim(std::string_view(piece).substr(0, eq)));
-    std::string value(trim(std::string_view(piece).substr(eq + 1)));
-    if (key.empty()) return std::nullopt;
-    map.set(std::move(key), std::move(value));
+  if (trim(text).empty()) return map;
+  if (!parse_fields(text, [&map](std::string_view key, std::string_view value) {
+        map.set(std::string(key), std::string(value));
+        return true;
+      })) {
+    return std::nullopt;
   }
   return map;
 }
@@ -151,23 +184,13 @@ std::optional<std::string> ParamMap::get(const std::string& key) const {
 std::optional<std::int64_t> ParamMap::get_int(const std::string& key) const {
   auto v = get(key);
   if (!v) return std::nullopt;
-  std::int64_t out = 0;
-  auto [p, ec] = std::from_chars(v->data(), v->data() + v->size(), out);
-  if (ec != std::errc() || p != v->data() + v->size()) return std::nullopt;
-  return out;
+  return parse_int<std::int64_t>(*v);
 }
 
 std::optional<double> ParamMap::get_double(const std::string& key) const {
   auto v = get(key);
   if (!v) return std::nullopt;
-  try {
-    std::size_t pos = 0;
-    double out = std::stod(*v, &pos);
-    if (pos != v->size()) return std::nullopt;
-    return out;
-  } catch (...) {
-    return std::nullopt;
-  }
+  return parse_double(*v);
 }
 
 std::optional<SimTime> ParamMap::get_duration(const std::string& key) const {

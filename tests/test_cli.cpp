@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "core/cli.hpp"
 #include "util/pool.hpp"
@@ -32,6 +35,27 @@ struct EnvGuard {
     }
   }
   ~EnvGuard() { ::unsetenv(core::kFailureScheduleEnvVar); }
+};
+
+/// Sets one environment variable for a scope, restoring its prior state.
+struct ScopedEnv {
+  ScopedEnv(const char* var, const char* value) : var_(var) {
+    if (const char* old = std::getenv(var)) saved_ = old;
+    ::setenv(var, value, 1);
+  }
+  ~ScopedEnv() {
+    if (saved_) {
+      ::setenv(var_, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(var_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* var_;
+  std::optional<std::string> saved_;
 };
 
 TEST(Cli, DefaultsAreSane) {
@@ -245,6 +269,53 @@ TEST(Cli, RejectsMalformedOptions) {
     std::string error;
     EXPECT_FALSE(parse({bad}, &error).has_value()) << bad;
     EXPECT_FALSE(error.empty());
+  }
+}
+
+TEST(Cli, RejectsOutOfRangeNumbers) {
+  // Each once crashed or silently wrapped: SIGFPE, SIGSEGV, an uncaught
+  // exception, truncation to int, wrap to SIZE_MAX, and a NaN slowdown.
+  EnvGuard env(nullptr);
+  for (auto [arg, message] : {std::pair{"--ranks-per-node=0", "bad --ranks-per-node"},
+                              std::pair{"--stack-bytes=-1", "bad --stack-bytes"},
+                              std::pair{"--bandwidth=-1", "bad --bandwidth"},
+                              std::pair{"--ranks=99999999999", "bad --ranks"},
+                              std::pair{"--eager-threshold=-5", "bad --eager-threshold"},
+                              std::pair{"--slowdown=nan", "bad --slowdown"}}) {
+    std::string error;
+    EXPECT_FALSE(parse({"--ranks=8", arg}, &error).has_value()) << arg;
+    EXPECT_EQ(error, message) << arg;
+  }
+}
+
+TEST(Cli, RejectsValuesOnSwitches) {
+  EnvGuard env(nullptr);
+  std::string error;
+  EXPECT_FALSE(parse({"--contention=0"}, &error).has_value());
+  EXPECT_EQ(error, "bad --contention");
+}
+
+TEST(Cli, ContentionNeedsOneSimWorker) {
+  EnvGuard env(nullptr);
+  for (auto contended : {"--contention", "--storage=bb:contend=1;pfs"}) {
+    std::string error;
+    EXPECT_FALSE(parse({contended, "--sim-workers=2"}, &error).has_value()) << contended;
+    EXPECT_NE(error.find("contention needs --sim-workers=1"), std::string::npos) << error;
+    EXPECT_TRUE(parse({contended, "--sim-workers=1"}).has_value()) << contended;
+  }
+}
+
+TEST(Cli, RejectsMalformedEnvironmentSettings) {
+  // Every EXASIM_* setting is resolved at parse time; a malformed one is an
+  // error naming the variable, never a silent default.
+  EnvGuard env(nullptr);
+  for (const char* var : {"EXASIM_SCHEDULER", "EXASIM_ROUTING", "EXASIM_STORAGE",
+                          "EXASIM_CKPT_MODE", "EXASIM_SIM_WORKERS", "EXASIM_SPECULATE",
+                          "EXASIM_FAILURE_DETECTOR", "EXASIM_LINK_TIMEOUTS"}) {
+    ScopedEnv bogus(var, "bogus");
+    std::string error;
+    EXPECT_FALSE(parse({"--ranks=8"}, &error).has_value()) << var;
+    EXPECT_NE(error.find(var), std::string::npos) << error;
   }
 }
 

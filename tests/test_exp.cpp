@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -235,4 +237,14 @@ TEST(Jobs, ResolutionRules) {
   EXPECT_EQ(exp::jobs_from_cli(3, const_cast<char**>(args2)), 7);
   const char* args3[] = {"bench"};
   EXPECT_EQ(exp::jobs_from_cli(1, const_cast<char**>(args3)), -1);
+
+  const char* old = std::getenv("EXASIM_JOBS");
+  const std::string saved = old != nullptr ? old : "";
+  ::setenv("EXASIM_JOBS", "3", 1);
+  EXPECT_EQ(exp::default_jobs(), 3);
+  ::setenv("EXASIM_JOBS", "3x", 1);  // Malformed: an error, not serial.
+  EXPECT_THROW(exp::default_jobs(), std::invalid_argument);
+  ::unsetenv("EXASIM_JOBS");
+  EXPECT_EQ(exp::default_jobs(), 1);
+  if (old != nullptr) ::setenv("EXASIM_JOBS", saved.c_str(), 1);
 }

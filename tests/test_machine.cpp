@@ -44,6 +44,27 @@ TEST(Machine, RejectsBadConfiguration) {
     cfg.topology = "star:2";  // Too small for 4 ranks.
     EXPECT_THROW(Machine(cfg, noop), std::invalid_argument);
   }
+  {
+    SimConfig cfg = tiny_config(4);
+    cfg.ranks_per_node = 0;
+    EXPECT_THROW(Machine(cfg, noop), std::invalid_argument);
+  }
+}
+
+TEST(Machine, ContentionRunsOnOneWorkerOnly) {
+  // Occupancy windows depend on the sharded engine's window boundaries, so
+  // contention on more than one worker is rejected, not approximated.
+  auto noop = [](Context& ctx) { ctx.finalize(); };
+  SimConfig link = tiny_config(4);
+  link.net.contention = true;
+  SimConfig tier = tiny_config(4);
+  tier.storage = "bb:contend=1;pfs";
+  for (SimConfig cfg : {link, tier}) {
+    cfg.sim_workers = 2;
+    EXPECT_THROW(Machine(cfg, noop), std::invalid_argument);
+    cfg.sim_workers = 1;
+    EXPECT_EQ(run_app(cfg, noop).finished_count, 4);
+  }
 }
 
 TEST(Machine, InitialTimeShiftsAllClocks) {

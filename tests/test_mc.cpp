@@ -89,6 +89,24 @@ TEST(McLattice, VictimParsing) {
   EXPECT_FALSE(mc::parse_victims("9", 8).has_value());
   EXPECT_FALSE(mc::parse_victims("", 8).has_value());
   EXPECT_FALSE(mc::parse_victims("stride:0", 8).has_value());
+  // Trailing garbage once slipped through std::stoi.
+  EXPECT_FALSE(mc::parse_victims("3x", 8).has_value());
+  EXPECT_FALSE(mc::parse_victims("stride:2junk", 8).has_value());
+}
+
+TEST(McLattice, WindowGridAndBudgetParsing) {
+  EXPECT_EQ(mc::parse_window("1ms..5ms"), (std::pair<SimTime, SimTime>{sim_ms(1), sim_ms(5)}));
+  EXPECT_FALSE(mc::parse_window("5ms..1ms").has_value());
+  EXPECT_FALSE(mc::parse_window("5ms").has_value());
+  EXPECT_EQ(mc::parse_grid("9:6"), (std::pair{9, 6}));
+  EXPECT_EQ(mc::parse_grid("9"), (std::pair{9, mc::LatticeSpec{}.depth}));
+  for (const char* bad : {"3x:2", "1:2", "9:21", "9:", "2.5"}) {
+    EXPECT_FALSE(mc::parse_grid(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(mc::parse_budget("0"), 0u);
+  EXPECT_EQ(mc::parse_budget("135"), 135u);
+  EXPECT_FALSE(mc::parse_budget("-1").has_value());  // Once wrapped to 2^64 - 1.
+  EXPECT_FALSE(mc::parse_budget("").has_value());
 }
 
 TEST(McSignature, QuantizationCollapsesNearbyOutcomes) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -116,13 +117,14 @@ TEST(StorageSpec, RejectionMatrix) {
   }
 }
 
-TEST(StorageSpec, ResolveThrowsOnBadConfiguredAndFallsBackOnBadEnv) {
+TEST(StorageSpec, ResolveThrowsOnBadConfiguredOrBadEnv) {
   EXPECT_THROW(resolve_storage_spec("nonsense"), std::invalid_argument);
   ::setenv(kStorageEnvVar, "hpc", 1);
   EXPECT_EQ(resolve_storage_spec("").tiers.size(), 3u);
   EXPECT_TRUE(resolve_storage_spec("pfs").is_default());  // Flag beats env.
   ::setenv(kStorageEnvVar, "garbage", 1);
-  EXPECT_TRUE(resolve_storage_spec("").is_default());  // Bad env: silent default.
+  EXPECT_THROW(resolve_storage_spec(""), std::invalid_argument);  // Bad env is an error.
+  EXPECT_TRUE(resolve_storage_spec("pfs").is_default());  // A flag never reads the env.
   ::unsetenv(kStorageEnvVar);
   EXPECT_TRUE(resolve_storage_spec("").is_default());
 }
@@ -470,9 +472,9 @@ TEST(TieredRestore, ColdStartAfterTotalLossReturnsNothing) {
   // Both ranks die: every copy of every file is gone.
   store.apply_failures({FailureSpec{0, sim_sec(1)}, FailureSpec{1, sim_sec(1)}},
                        sim_sec(2));
-  bool empty = true;
+  std::atomic<bool> empty{true};  // Both ranks write; they may run on two workers.
   auto restore_app = [&](Context& ctx) {
-    empty = empty && !ckpt::read_latest_checkpoint_tiered(ctx, store, storage).has_value();
+    if (ckpt::read_latest_checkpoint_tiered(ctx, store, storage).has_value()) empty = false;
     ctx.finalize();
   };
   run_app(tiny_config(2), restore_app);

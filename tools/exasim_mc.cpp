@@ -39,6 +39,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/registry.hpp"
@@ -68,26 +69,10 @@ int die_usage(const std::string& msg) {
   return 2;
 }
 
-bool parse_window(const std::string& text, SimTime* lo, SimTime* hi) {
-  const auto sep = text.find("..");
-  if (sep == std::string::npos) return false;
-  const auto lo_t = parse_duration(text.substr(0, sep));
-  const auto hi_t = parse_duration(text.substr(sep + 2));
-  if (!lo_t || !hi_t || *hi_t <= *lo_t) return false;
-  *lo = *lo_t;
-  *hi = *hi_t;
-  return true;
-}
-
-bool parse_grid(const std::string& text, int* grid, int* depth) {
-  try {
-    const auto colon = text.find(':');
-    *grid = std::stoi(text.substr(0, colon));
-    if (colon != std::string::npos) *depth = std::stoi(text.substr(colon + 1));
-    return *grid >= 2 && *depth >= 0 && *depth <= 20;
-  } catch (const std::exception&) {
-    return false;
-  }
+/// A malformed option or configuration: one line, exit status 2.
+int die(const std::string& msg) {
+  std::fprintf(stderr, "exasim_mc: %s\n", msg.c_str());
+  return 2;
 }
 
 }  // namespace
@@ -115,27 +100,25 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--mc-policies=", 0) == 0) {
       policies_text = value_of("--mc-policies=");
     } else if (arg.rfind("--mc-window=", 0) == 0) {
-      if (!parse_window(value_of("--mc-window="), &spec.window_lo, &spec.window_hi)) {
-        return die_usage("malformed --mc-window (want LO..HI durations)");
-      }
+      const auto window = mc::parse_window(value_of("--mc-window="));
+      if (!window) return die("malformed --mc-window (want LO..HI durations)");
+      std::tie(spec.window_lo, spec.window_hi) = *window;
     } else if (arg.rfind("--mc-grid=", 0) == 0) {
-      if (!parse_grid(value_of("--mc-grid="), &spec.grid, &spec.depth)) {
-        return die_usage("malformed --mc-grid (want N[:D], N>=2, 0<=D<=20)");
-      }
+      const auto grid = mc::parse_grid(value_of("--mc-grid="));
+      if (!grid) return die("malformed --mc-grid (want N[:D], N>=2, 0<=D<=20)");
+      std::tie(spec.grid, spec.depth) = *grid;
     } else if (arg.rfind("--mc-quantum=", 0) == 0) {
       const auto q = parse_duration(value_of("--mc-quantum="));
-      if (!q || *q <= 0) return die_usage("malformed --mc-quantum");
+      if (!q || *q <= 0) return die("malformed --mc-quantum");
       spec.quantum = *q;
     } else if (arg.rfind("--mc-budget=", 0) == 0) {
-      try {
-        spec.budget = std::stoull(value_of("--mc-budget="));
-      } catch (const std::exception&) {
-        return die_usage("malformed --mc-budget");
+      if (!set_from(mc::parse_budget(value_of("--mc-budget=")), spec.budget)) {
+        return die("malformed --mc-budget");
       }
     } else if (arg.rfind("--mc-prune=", 0) == 0) {
-      const std::string v = value_of("--mc-prune=");
-      if (v != "0" && v != "1") return die_usage("--mc-prune wants 0 or 1");
-      spec.prune = v == "1";
+      if (!set_from(parse_bool(value_of("--mc-prune=")), spec.prune)) {
+        return die("--mc-prune wants 0 or 1");
+      }
     } else if (arg.rfind("--mc-report=", 0) == 0) {
       report_path = value_of("--mc-report=");
     } else if (arg.rfind("--app-params=", 0) == 0) {
@@ -147,26 +130,26 @@ int main(int argc, char** argv) {
 
   std::string error;
   auto options = core::parse_cli(static_cast<int>(args.size()), args.data(), &error);
-  if (!options) return die_usage(error);
+  if (!options) return die(error);
   if (options->positional.size() != 1) return die_usage("expected exactly one app name");
   const std::string app_name = options->positional.front();
   if (!options->machine.failures.empty() || options->mttf) {
-    return die_usage("the model checker owns failure injection; drop --failures/--mttf "
-                     "(and unset EXASIM_FAILURES)");
+    return die("the model checker owns failure injection; drop --failures/--mttf "
+               "(and unset EXASIM_FAILURES)");
   }
 
   const auto victims = mc::parse_victims(victims_text, options->machine.ranks);
-  if (!victims) return die_usage("malformed --mc-victims");
+  if (!victims) return die("malformed --mc-victims");
   spec.victims = *victims;
   const auto detectors = mc::parse_detector_list(detectors_text);
-  if (!detectors) return die_usage("malformed --mc-detectors");
+  if (!detectors) return die("malformed --mc-detectors");
   spec.detectors = *detectors;
   const auto policies = mc::parse_policy_list(policies_text);
-  if (!policies) return die_usage("malformed --mc-policies");
+  if (!policies) return die("malformed --mc-policies");
   spec.policies = *policies;
 
   const auto params = ParamMap::parse(app_params_text);
-  if (!params) return die_usage("malformed --app-params");
+  if (!params) return die("malformed --app-params");
 
   mc::ExplorerConfig config;
   config.lattice = spec;
@@ -174,15 +157,19 @@ int main(int argc, char** argv) {
   try {
     config.app = apps::make_app(app_name, *params, options->machine.ranks);
   } catch (const std::invalid_argument& e) {
-    return die_usage(e.what());
+    return die(e.what());
   }
   config.app_name = app_name;
   config.app_params = app_params_text;
   // Each scenario may itself run several engine worker threads, so divide
   // the campaign job budget by the per-run worker count (as exasim_run's
   // replicate campaigns do).
-  config.jobs = exp::compose_jobs(
-      options->jobs, resolve_sim_workers(options->machine.sim_workers));
+  try {
+    config.jobs = exp::compose_jobs(
+        options->jobs, resolve_sim_workers(options->machine.sim_workers));
+  } catch (const std::exception& e) {
+    return die(e.what());
+  }
   config.progress = [](int wave, std::uint64_t explored, std::uint64_t raw) {
     std::fprintf(stderr, "exasim_mc: wave %d done, %llu/%llu scenarios evaluated\n",
                  wave, static_cast<unsigned long long>(explored),

@@ -173,6 +173,12 @@ int die_usage(const std::string& msg) {
   return 2;
 }
 
+/// A malformed option or configuration: one line, exit status 2.
+int die(const std::string& msg) {
+  std::fprintf(stderr, "exasim_run: %s\n", msg.c_str());
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -209,18 +215,18 @@ int main(int argc, char** argv) {
 
   std::string error;
   auto options = core::parse_cli(static_cast<int>(args.size()), args.data(), &error);
-  if (!options) return die_usage(error);
+  if (!options) return die(error);
   if (options->positional.size() != 1) return die_usage("expected exactly one app name");
   const std::string app_name = options->positional.front();
 
   auto params = ParamMap::parse(app_params_text);
-  if (!params) return die_usage("malformed --app-params");
+  if (!params) return die("malformed --app-params");
 
   vmpi::AppMain app;
   try {
     app = apps::make_app(app_name, *params, options->machine.ranks);
   } catch (const std::invalid_argument& e) {
-    return die_usage(e.what());
+    return die(e.what());
   }
 
   if (options->replicates > 1) {
@@ -232,9 +238,13 @@ int main(int argc, char** argv) {
     // Each replicate may itself run several engine worker threads
     // (--sim-workers), so divide the campaign's job budget by the per-run
     // worker count to keep the total thread count near --jobs.
-    const int workers_per_run = resolve_sim_workers(options->machine.sim_workers);
-    exp::ParallelExecutor pool(
-        exp::ExecutorOptions{exp::compose_jobs(options->jobs, workers_per_run), {}});
+    int jobs = 1;
+    try {
+      jobs = exp::compose_jobs(options->jobs, resolve_sim_workers(options->machine.sim_workers));
+    } catch (const std::exception& e) {
+      return die(e.what());
+    }
+    exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
     auto outcomes = pool.run(plan, [&](const exp::Point&, const exp::WorkItem& item) {
       core::RunnerConfig rc = core::runner_config_from(*options);
       rc.seed = item.seed;
