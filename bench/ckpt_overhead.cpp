@@ -60,6 +60,7 @@ double e1_seconds(const RunSpec& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kWarn);
   std::printf("=== E1 decomposition: checkpoint-cycle overhead vs interval ===\n");
   std::printf("(4,096 ranks, 1,000 iterations, free checkpoint I/O like the paper)\n\n");
@@ -82,7 +83,7 @@ int main(int argc, char** argv) {
     specs.push_back({c, true, true, pfs_storage});  // PFS model.
   }
 
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
   auto outcomes = pool.map(specs.size(), [&](std::size_t i) { return e1_seconds(specs[i]); });
 
   const double compute_only = *outcomes[0];

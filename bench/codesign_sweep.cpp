@@ -111,6 +111,7 @@ std::string path_arg(int argc, char** argv, const std::string& prefix) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kError);
   std::printf("=== Co-design sweep: time-to-solution within an energy budget ===\n");
   std::printf("(512 ranks, heat3d 1000 iterations, halo every iteration, MTTF 30 ms;\n"
@@ -135,7 +136,7 @@ int main(int argc, char** argv) {
       /*replicates=*/1, /*base_seed=*/7);
   plan.set_seed_mode(exp::SeedMode::kSequentialPerReplicate);
 
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
   auto outcomes = pool.run(plan, [&](const exp::Point& p, const exp::WorkItem& item) {
     const Config c{topologies[p.at(0)], algos[p.at(1)], intervals[p.at(2)]};
     return evaluate(c, mttf, item.seed);

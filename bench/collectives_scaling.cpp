@@ -52,6 +52,7 @@ double collective_seconds(int ranks, Coll which,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kWarn);
   std::printf("=== Linear collective cost vs rank count (paper 5.C) ===\n\n");
 
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
   const auto plan = exp::ExperimentPlan::cross_product(
       {exp::Axis{"ranks", {"64", "256", "1024", "4096", "16384", "32768"}},
        exp::Axis{"measurement", {"barrier", "bcast", "allreduce", "tree barrier"}}});
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
   auto outcomes = pool.run(plan, [&](const exp::Point& p, const exp::WorkItem&) {
     const int ranks = rank_counts[p.at(0)];
     switch (p.at(1)) {

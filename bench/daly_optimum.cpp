@@ -95,11 +95,12 @@ Trial run_trial(int interval, SimTime mttf, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kError);
   std::printf("=== Simulated optimal checkpoint interval vs Daly's estimate ===\n");
   std::printf("(64 ranks, 2,000 iterations, slow PFS so checkpoints cost time)\n\n");
 
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
 
   // Measure per-iteration compute time and per-checkpoint cost delta from
   // failure-free runs (the intervals: one cycle vs ten).

@@ -78,13 +78,14 @@ Row evaluate(SimTime timeout) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kWarn);
   std::printf("=== Failure-detection timeout sensitivity (paper 4.C) ===\n");
   std::printf("(512 ranks, heat3d, one deterministic mid-run failure / random failures)\n\n");
 
   const std::vector<SimTime> timeouts = {sim_us(100), sim_ms(1), sim_ms(10), sim_ms(100),
                                          sim_sec(1), sim_sec(10)};
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
   auto outcomes = pool.map(timeouts.size(), [&](std::size_t i) { return evaluate(timeouts[i]); });
 
   TablePrinter table({"timeout", "detect latency", "E2", "F", "MTTF_a"});

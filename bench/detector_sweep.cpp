@@ -92,6 +92,7 @@ Row evaluate(const resilience::DetectorSpec& detector, double mttf_s, std::uint6
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kError);
   std::printf("=== Failure-detector sweep: detection latency and time-to-abort ===\n");
   std::printf("(64 ranks, heat3d, failures uniform within 2*MTTF per launch,\n"
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
       /*base_seed=*/9000);
   plan.set_seed_mode(exp::SeedMode::kSequentialPerReplicate);
 
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
   auto outcomes = pool.run(plan, [&](const exp::Point& p, const exp::WorkItem& item) {
     return evaluate(exp::detector_spec_for(p.at(0)), mttfs[p.at(1)], item.seed);
   });

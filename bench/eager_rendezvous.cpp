@@ -47,6 +47,7 @@ double message_seconds(std::size_t bytes, std::size_t eager_threshold) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kWarn);
   std::printf("=== Eager vs rendezvous protocol cost (paper 5.C: 256 kB threshold) ===\n");
   std::printf("(one-way neighbor message, 1 us link, 32 GB/s)\n\n");
@@ -60,7 +61,7 @@ int main(int argc, char** argv) {
       {exp::Axis{"payload",
                  {"64", "1K", "16K", "128K", "256K", "512K", "1M", "4M", "16M"}},
        exp::Axis{"protocol", {"eager", "rendezvous", "paper"}}});
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
   auto outcomes = pool.run(plan, [&](const exp::Point& p, const exp::WorkItem&) {
     return message_seconds(sizes[p.at(0)], thresholds[p.at(1)]);
   });

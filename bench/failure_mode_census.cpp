@@ -41,6 +41,7 @@ struct TrialResult {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kError);
   std::printf("=== Failure-mode census (paper 5.D 'First Impressions') ===\n\n");
 
@@ -82,7 +83,7 @@ int main(int argc, char** argv) {
     failures.push_back(FailureSpec{rank, t});
   }
 
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
   auto outcomes = pool.map(failures.size(), [&](std::size_t trial) {
     TrialResult res;
     apps::HeatTelemetry telemetry(machine.ranks);

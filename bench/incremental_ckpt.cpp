@@ -101,6 +101,7 @@ Outcome run(bool incremental, int change_permille) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kError);
   std::printf("=== Incremental vs full checkpointing (paper intro tech list) ===\n");
   std::printf("(%d ranks, %d checkpoints of 1 MiB state each, 1 GB/s shared PFS)\n\n", kRanks,
@@ -110,7 +111,7 @@ int main(int argc, char** argv) {
   const auto plan = exp::ExperimentPlan::cross_product(
       {exp::Axis{"churn", {"10", "100", "300", "1000"}},
        exp::Axis{"mode", {"full", "incremental"}}});
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
   auto outcomes = pool.run(plan, [&](const exp::Point& p, const exp::WorkItem&) {
     return run(/*incremental=*/p.at(1) == 1, permilles[p.at(0)]);
   });

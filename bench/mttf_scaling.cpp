@@ -63,6 +63,7 @@ Row evaluate(double mttf_s, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kError);
   std::printf("=== Application MTTF vs system MTTF (worst-case schedule, [45]) ===\n");
   std::printf("(512 ranks, heat3d, checkpoint every 100 of 1,000 iterations,\n"
@@ -81,7 +82,7 @@ int main(int argc, char** argv) {
       /*base_seed=*/7000);
   plan.set_seed_mode(exp::SeedMode::kSequentialPerReplicate);
 
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
   auto outcomes = pool.run(plan, [&](const exp::Point& p, const exp::WorkItem& item) {
     return evaluate(mttfs[p.at(0)], item.seed);
   });

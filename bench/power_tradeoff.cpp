@@ -73,6 +73,7 @@ Row evaluate(int pass, int c) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kError);
   std::printf("=== Energy per completed run vs checkpoint interval and MTTF ===\n");
   std::printf("(512 nodes at 100 W busy / 60 W comm; energy summed over all\n"
@@ -81,7 +82,7 @@ int main(int argc, char** argv) {
   const std::vector<int> intervals = {500, 250, 125};
   const auto plan = exp::ExperimentPlan::cross_product(
       {exp::Axis{"MTTF", {"none", "8s"}}, exp::Axis{"C", {"500", "250", "125"}}});
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
   auto outcomes = pool.run(plan, [&](const exp::Point& p, const exp::WorkItem&) {
     return evaluate(static_cast<int>(p.at(0)), intervals[p.at(1)]);
   });

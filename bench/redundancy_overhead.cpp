@@ -124,6 +124,7 @@ struct RunSpec {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kError);
   std::printf("=== Process-level redundancy (redMPI, paper 2.C): cost & benefit ===\n");
   std::printf("(%d app ranks, %d iterations of ring + allreduce)\n\n", kAppRanks, kIterations);
@@ -136,7 +137,7 @@ int main(int argc, char** argv) {
       {2, true, false, true},    // dual detect + SDC
       {3, true, true, true},     // triple correct + SDC
   };
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
   auto outcomes = pool.map(specs.size(), [&](std::size_t i) {
     const RunSpec& s = specs[i];
     return run(s.replication, s.detect, s.correct, s.inject);

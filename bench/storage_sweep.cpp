@@ -91,6 +91,7 @@ Row evaluate(const resilience::DetectorSpec& detector, ckpt::CkptMode mode,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kError);
   std::printf("=== Storage-hierarchy sweep: checkpoint mode x detector x interval ===\n");
   std::printf("(64 ranks, heat3d, MTTF 4 s, 3 seeds per cell, storage:\n %s)\n\n", kStorage);
@@ -103,7 +104,7 @@ int main(int argc, char** argv) {
       /*base_seed=*/11000);
   plan.set_seed_mode(exp::SeedMode::kSequentialPerReplicate);
 
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
   auto outcomes = pool.run(plan, [&](const exp::Point& p, const exp::WorkItem& item) {
     return evaluate(exp::detector_spec_for(p.at(0)), exp::ckpt_mode_for(p.at(2)),
                     intervals[p.at(1)], item.seed);

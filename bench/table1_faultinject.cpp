@@ -52,6 +52,7 @@ void print_campaign(const char* label, const CampaignResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   std::printf("=== Table I: fault (bit flip) injection results ===\n\n");
 
   // The headline configuration: register+PC flips into the checksum victim,
@@ -92,7 +93,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
   auto outcomes = pool.map(configs.size(),
                            [&](std::size_t i) { return run_campaign(configs[i]); });
 

@@ -112,6 +112,7 @@ struct PaperRow {
 };
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kWarn);
   std::printf("=== Table II: varying the checkpoint interval and system MTTF ===\n");
   std::printf("(32,768 simulated ranks; this takes a few minutes)\n\n");
@@ -127,7 +128,7 @@ int main(int argc, char** argv) {
       {3000, 250, 6377, 8618, 2, 2872}, {3000, 125, 6601, 7948, 2, 2649},
   };
 
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
 
   // E1 baselines per checkpoint interval (deterministic, computed once).
   const int e1_intervals[] = {1000, 500, 250, 125};

@@ -71,6 +71,7 @@ struct Pair {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kError);
   std::printf("=== Abort+restart (paper) vs ULFM shrink-and-continue (6, item 3) ===\n");
   std::printf("(128 ranks, 200 iterations of compute+allreduce, no checkpoints,\n"
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
   std::printf("failure-free baseline: %.3f s\n\n", baseline);
 
   const std::vector<double> fracs = {0.1, 0.25, 0.5, 0.75, 0.9};
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
   auto outcomes = pool.map(fracs.size(), [&](std::size_t i) {
     const FailureSpec failure{37, sim_seconds(baseline * fracs[i])};
     Pair pair;

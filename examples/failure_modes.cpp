@@ -65,6 +65,7 @@ std::string checkpoint_state(const ckpt::CheckpointStore& store) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kWarn);
 
   core::SimConfig machine;
@@ -104,7 +105,7 @@ int main(int argc, char** argv) {
     std::string survivor_phases;
     std::string store_state;
   };
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
   auto outcomes = pool.map(cases.size() * detectors.size(), [&](std::size_t i) {
     const std::size_t c = i / detectors.size();
     apps::HeatTelemetry telemetry(machine.ranks);

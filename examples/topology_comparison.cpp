@@ -54,6 +54,7 @@ double run_seconds(const core::SimConfig& machine, vmpi::AppMain app) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const int jobs = exp::jobs_or_exit(argc, argv);
   Log::set_level(LogLevel::kWarn);
 
   // Halo-exchange workload: nearest-neighbor messages every iteration.
@@ -79,7 +80,7 @@ int main(int argc, char** argv) {
 
   const auto plan = exp::ExperimentPlan::cross_product(
       {exp::Axis{"topology", topologies}, exp::Axis{"app", {"heat", "cg"}}});
-  exp::ParallelExecutor pool(exp::ExecutorOptions{exp::jobs_from_cli(argc, argv), {}});
+  exp::ParallelExecutor pool(exp::ExecutorOptions{jobs, {}});
   auto outcomes = pool.run(plan, [&](const exp::Point& p, const exp::WorkItem&) {
     const auto machine = machine_on(topologies[p.at(0)]);
     return run_seconds(machine, p.at(1) == 0 ? apps::make_heat3d(heat)

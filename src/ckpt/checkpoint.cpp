@@ -5,6 +5,31 @@
 
 namespace exasim::ckpt {
 
+namespace {
+
+/// How `rank` reaches `copy`, cheapest first: its own node memory, a shared
+/// tier (bb/pfs), a remote rank's node memory (needs a network fetch).
+int access_class(const CopyRecord& copy, int rank) {
+  if (copy.holder == rank) return 0;
+  if (copy.holder < 0) return 1;
+  return 2;
+}
+
+}  // namespace
+
+CopyRecord best_copy(const std::vector<CopyRecord>& copies, int rank) {
+  CopyRecord best;  // Defaults: level 2, holder -1 (shared PFS).
+  bool have = false;
+  for (const auto& c : copies) {
+    if (!have || c.level < best.level ||
+        (c.level == best.level && access_class(c, rank) < access_class(best, rank))) {
+      best = c;
+      have = true;
+    }
+  }
+  return best;
+}
+
 CheckpointStore::CheckpointStore(int expected_ranks) : expected_ranks_(expected_ranks) {
   if (expected_ranks <= 0) throw std::invalid_argument("expected_ranks <= 0");
 }
@@ -13,6 +38,7 @@ void CheckpointStore::begin(std::uint64_t version, int rank) {
   std::lock_guard<std::mutex> lock(mu_);
   if (rank < 0 || rank >= expected_ranks_) throw std::invalid_argument("bad rank");
   VersionSet& set = versions_[version];
+  set.plan.reset();
   auto [it, inserted] = set.files.try_emplace(rank);
   if (!inserted) {
     if (it->second.finalized) --set.finalized_count;
@@ -23,23 +49,23 @@ void CheckpointStore::begin(std::uint64_t version, int rank) {
 void CheckpointStore::append(std::uint64_t version, int rank,
                              std::span<const std::byte> data) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto vit = versions_.find(version);
-  if (vit == versions_.end()) throw std::logic_error("append before begin");
-  auto fit = vit->second.files.find(rank);
-  if (fit == vit->second.files.end()) throw std::logic_error("append before begin");
+  VersionSet* set = mutable_set(version);
+  if (set == nullptr) throw std::logic_error("append before begin");
+  auto fit = set->files.find(rank);
+  if (fit == set->files.end()) throw std::logic_error("append before begin");
   if (fit->second.finalized) throw std::logic_error("append after finalize");
   fit->second.data.insert(fit->second.data.end(), data.begin(), data.end());
 }
 
 void CheckpointStore::finalize(std::uint64_t version, int rank) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto vit = versions_.find(version);
-  if (vit == versions_.end()) throw std::logic_error("finalize before begin");
-  auto fit = vit->second.files.find(rank);
-  if (fit == vit->second.files.end()) throw std::logic_error("finalize before begin");
+  VersionSet* set = mutable_set(version);
+  if (set == nullptr) throw std::logic_error("finalize before begin");
+  auto fit = set->files.find(rank);
+  if (fit == set->files.end()) throw std::logic_error("finalize before begin");
   if (!fit->second.finalized) {
     fit->second.finalized = true;
-    ++vit->second.finalized_count;
+    ++set->finalized_count;
   }
 }
 
@@ -60,6 +86,13 @@ bool CheckpointStore::file_finalized(std::uint64_t version, int rank) const {
 bool CheckpointStore::set_complete(std::uint64_t version) const {
   std::lock_guard<std::mutex> lock(mu_);
   return set_complete_unlocked(version);
+}
+
+CheckpointStore::VersionSet* CheckpointStore::mutable_set(std::uint64_t version) {
+  auto vit = versions_.find(version);
+  if (vit == versions_.end()) return nullptr;
+  vit->second.plan.reset();
+  return &vit->second;
 }
 
 bool CheckpointStore::set_complete_unlocked(std::uint64_t version) const {
@@ -96,11 +129,15 @@ std::size_t CheckpointStore::file_bytes(std::uint64_t version, int rank) const {
 
 void CheckpointStore::record_copy(std::uint64_t version, int rank,
                                   const CopyRecord& copy) {
+  if (copy.level < 0 || copy.level > 2) throw std::invalid_argument("bad copy level");
+  if (copy.holder < -1 || copy.holder >= expected_ranks_) {
+    throw std::invalid_argument("bad copy holder");
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  auto vit = versions_.find(version);
-  if (vit == versions_.end()) throw std::logic_error("record_copy before begin");
-  auto fit = vit->second.files.find(rank);
-  if (fit == vit->second.files.end()) throw std::logic_error("record_copy before begin");
+  VersionSet* set = mutable_set(version);
+  if (set == nullptr) throw std::logic_error("record_copy before begin");
+  auto fit = set->files.find(rank);
+  if (fit == set->files.end()) throw std::logic_error("record_copy before begin");
   fit->second.copies.push_back(copy);
   std::stable_sort(fit->second.copies.begin(), fit->second.copies.end(),
                    [](const CopyRecord& a, const CopyRecord& b) { return a.level < b.level; });
@@ -113,6 +150,45 @@ std::vector<CopyRecord> CheckpointStore::copies(std::uint64_t version, int rank)
   auto fit = vit->second.files.find(rank);
   if (fit == vit->second.files.end()) return {};
   return fit->second.copies;
+}
+
+std::shared_ptr<const RestorePlan> CheckpointStore::restore_plan(std::uint64_t version) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto vit = versions_.find(version);
+  if (vit == versions_.end()) return build_plan({});
+  if (!vit->second.plan) vit->second.plan = build_plan(vit->second.files);
+  return vit->second.plan;
+}
+
+std::shared_ptr<const RestorePlan> CheckpointStore::build_plan(
+    const std::map<int, File>& files) const {
+  const auto world = static_cast<std::size_t>(expected_ranks_);
+  auto plan = std::make_shared<RestorePlan>();
+  RestorePlan& p = *plan;
+  p.best.resize(world);  // A missing file keeps the default (PFS) record.
+  p.bytes.assign(world, 0);
+  p.offsets.assign(world + 1, 0);
+  // The holder a rank fetches its file from over the network, or `world`
+  // when its best copy is its own memory or a shared tier.
+  auto remote_holder = [&](int rank) {
+    const int holder = p.best[static_cast<std::size_t>(rank)].holder;
+    return holder >= 0 && holder != rank ? static_cast<std::size_t>(holder) : world;
+  };
+  for (const auto& [rank, file] : files) {
+    p.best[static_cast<std::size_t>(rank)] = best_copy(file.copies, rank);
+    p.bytes[static_cast<std::size_t>(rank)] = file.data.size();
+    if (const auto h = remote_holder(rank); h < world) ++p.offsets[h + 1];
+  }
+  for (std::size_t h = 0; h < world; ++h) p.offsets[h + 1] += p.offsets[h];
+  p.receivers.resize(static_cast<std::size_t>(p.offsets[world]));
+  // The map iterates ranks in ascending order, so each holder's receivers do too.
+  std::vector<int> fill(p.offsets.begin(), p.offsets.end() - 1);
+  for (const auto& [rank, file] : files) {
+    if (const auto h = remote_holder(rank); h < world) {
+      p.receivers[static_cast<std::size_t>(fill[h]++)] = rank;
+    }
+  }
+  return plan;
 }
 
 int CheckpointStore::apply_failures(const std::vector<FailureSpec>& failures,
@@ -145,6 +221,7 @@ int CheckpointStore::apply_failures(const std::vector<FailureSpec>& failures,
           std::remove_if(file.copies.begin(), file.copies.end(),
                          [&](const CopyRecord& c) { return !survives(c); }),
           file.copies.end());
+      if (file.copies.size() != old_size) set.plan.reset();
       lost += static_cast<int>(old_size - file.copies.size());
       if (file.copies.empty()) doomed_files.push_back(rank);
     }
@@ -161,13 +238,13 @@ int CheckpointStore::apply_failures(const std::vector<FailureSpec>& failures,
 
 void CheckpointStore::remove_file(std::uint64_t version, int rank) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto vit = versions_.find(version);
-  if (vit == versions_.end()) return;
-  auto fit = vit->second.files.find(rank);
-  if (fit == vit->second.files.end()) return;
-  if (fit->second.finalized) --vit->second.finalized_count;
-  vit->second.files.erase(fit);
-  if (vit->second.files.empty()) versions_.erase(vit);
+  VersionSet* set = mutable_set(version);
+  if (set == nullptr) return;
+  auto fit = set->files.find(rank);
+  if (fit == set->files.end()) return;
+  if (fit->second.finalized) --set->finalized_count;
+  set->files.erase(fit);
+  if (set->files.empty()) versions_.erase(version);
 }
 
 void CheckpointStore::remove_version(std::uint64_t version) {

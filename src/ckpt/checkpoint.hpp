@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -37,6 +38,33 @@ struct CopyRecord {
   friend bool operator==(const CopyRecord&, const CopyRecord&) = default;
 };
 
+/// The copy `rank` restores from: fastest tier, then cheapest access (own
+/// node memory, then a shared tier, then a remote rank's memory), then first
+/// recorded. An empty copy list is a legacy indestructible file and
+/// yields the default record (PFS, shared).
+CopyRecord best_copy(const std::vector<CopyRecord>& copies, int rank);
+
+/// The restore plan of one checkpoint version: every rank's best surviving
+/// copy and file size, plus a holder -> receivers index (CSR: the ranks
+/// whose best copy sits in `holder`'s node memory are
+/// `receivers[offsets[holder] .. offsets[holder + 1])`, ascending). A pure
+/// function of the version's stored state; immutable once built.
+struct RestorePlan {
+  std::vector<CopyRecord> best;   ///< Indexed by rank.
+  std::vector<std::size_t> bytes;  ///< Stored file size per rank (0 if missing).
+  std::vector<int> offsets;        ///< world + 1 entries.
+  std::vector<int> receivers;      ///< Flat, grouped by holder.
+
+  /// Ranks (other than `holder`) that fetch their file from `holder`'s
+  /// memory, in ascending order.
+  std::span<const int> receivers_of(int holder) const {
+    const auto h = static_cast<std::size_t>(holder);
+    return std::span<const int>(receivers).subspan(
+        static_cast<std::size_t>(offsets[h]),
+        static_cast<std::size_t>(offsets[h + 1] - offsets[h]));
+  }
+};
+
 /// Application-level checkpoint storage, simulating the parallel file system
 /// the paper's heat application checkpoints to (§V-B).
 ///
@@ -50,6 +78,11 @@ struct CopyRecord {
 /// The store outlives individual simulation runs — it is the persistent
 /// state that survives an abort/restart cycle. All methods are thread-safe:
 /// ranks checkpointing concurrently live on different engine workers.
+///
+/// Each version caches its restore plan (restore_plan()): the first rank to
+/// ask builds it once under the store lock, every other rank and worker
+/// shares the same immutable plan, and any mutation of that version drops
+/// it.
 class CheckpointStore {
  public:
   explicit CheckpointStore(int expected_ranks);
@@ -78,16 +111,25 @@ class CheckpointStore {
   /// File contents (valid whether finalized or not; empty if missing).
   std::vector<std::byte> read(std::uint64_t version, int rank) const;
 
-  /// Stored size of rank's file (0 if missing) — restore planning needs exact
-  /// sizes for modeled transfers (vmpi::recv truncation is an error).
+  /// Stored size of rank's file (0 if missing). RestorePlan::bytes carries
+  /// the same sizes for the restore's modeled transfers, which must be exact
+  /// (vmpi::recv truncation is an error).
   std::size_t file_bytes(std::uint64_t version, int rank) const;
 
   /// Records where a copy of rank's file lives (tiered checkpointing).
+  /// Throws std::invalid_argument for a level outside 0..2 or a holder
+  /// outside [-1, expected_ranks()).
   void record_copy(std::uint64_t version, int rank, const CopyRecord& copy);
 
   /// All surviving copies of rank's file, fastest tier first (empty for
   /// legacy indestructible files and for missing files).
   std::vector<CopyRecord> copies(std::uint64_t version, int rank) const;
+
+  /// The restore plan of `version` for all expected ranks, built on first
+  /// use and cached until the version is next mutated (begin, append,
+  /// finalize, record_copy, apply_failures or remove_file on it). A version
+  /// that is not stored gets an uncached plan of missing files.
+  std::shared_ptr<const RestorePlan> restore_plan(std::uint64_t version) const;
 
   /// Applies a run's activated failures to the stored copies: a copy is lost
   /// if its holder died, if it was not ready by `end_time` (in-flight drain),
@@ -126,8 +168,13 @@ class CheckpointStore {
   struct VersionSet {
     std::map<int, File> files;
     int finalized_count = 0;
+    /// Cached restore plan; null until asked for, reset by every mutation.
+    mutable std::shared_ptr<const RestorePlan> plan;
   };
   bool set_complete_unlocked(std::uint64_t version) const;
+  /// The version's set for a mutation, with its cached plan dropped.
+  VersionSet* mutable_set(std::uint64_t version);
+  std::shared_ptr<const RestorePlan> build_plan(const std::map<int, File>& files) const;
 
   int expected_ranks_;
   mutable std::mutex mu_;

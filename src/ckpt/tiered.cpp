@@ -21,29 +21,6 @@ void note_restore_tier(int level) {
   }
 }
 
-/// How a rank reaches a copy, cheapest first: its own node memory, a shared
-/// tier (bb/pfs), a remote rank's node memory (needs a network fetch).
-int access_class(const CopyRecord& copy, int rank) {
-  if (copy.holder == rank) return 0;
-  if (copy.holder < 0) return 1;
-  return 2;
-}
-
-/// The copy rank `q` restores from: fastest tier, then cheapest access.
-/// An empty copy list is a legacy indestructible file — treat as PFS.
-CopyRecord best_copy(const std::vector<CopyRecord>& copies, int q) {
-  CopyRecord best;  // Defaults: level 2, holder -1 (shared PFS).
-  bool have = false;
-  for (const auto& c : copies) {
-    if (!have || c.level < best.level ||
-        (c.level == best.level && access_class(c, q) < access_class(best, q))) {
-      best = c;
-      have = true;
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
 const char* to_string(CkptMode mode) {
@@ -204,28 +181,20 @@ std::optional<std::vector<std::byte>> read_latest_checkpoint_tiered(
   const auto version = store.latest_complete();
   if (!version) return std::nullopt;  // Cold start: decided before any messaging.
   const int rank = ctx.rank();
-  const int world = ctx.size();
 
-  // Every rank derives the same restore plan from the (global, pre-run)
-  // store state, so memory-tier fetches pair up without negotiation.
-  std::vector<CopyRecord> plan;
-  plan.reserve(static_cast<std::size_t>(world));
-  for (int q = 0; q < world; ++q) {
-    plan.push_back(best_copy(store.copies(*version, q), q));
-  }
-
+  // One plan per version, built by the first rank to ask and shared by all:
+  // every rank reads the same plan, so memory-tier fetches pair up without
+  // negotiation. Sends go out in ascending receiver order.
+  const auto plan = store.restore_plan(*version);
+  const CopyRecord& mine = plan->best[static_cast<std::size_t>(rank)];
   std::vector<vmpi::RequestHandle> reqs;
-  const CopyRecord& mine = plan[static_cast<std::size_t>(rank)];
   if (mine.holder >= 0 && mine.holder != rank) {
     reqs.push_back(ctx.irecv_modeled(ctx.world(), mine.holder, kCkptRestoreTag,
-                                     store.file_bytes(*version, rank)));
+                                     plan->bytes[static_cast<std::size_t>(rank)]));
   }
-  for (int q = 0; q < world; ++q) {
-    if (q == rank) continue;
-    if (plan[static_cast<std::size_t>(q)].holder == rank) {
-      reqs.push_back(ctx.isend_modeled(ctx.world(), q, kCkptRestoreTag,
-                                       store.file_bytes(*version, q)));
-    }
+  for (const int q : plan->receivers_of(rank)) {
+    reqs.push_back(ctx.isend_modeled(ctx.world(), q, kCkptRestoreTag,
+                                     plan->bytes[static_cast<std::size_t>(q)]));
   }
   if (!reqs.empty()) {
     const vmpi::Err err = ctx.waitall(ctx.world(), reqs);

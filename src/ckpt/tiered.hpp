@@ -99,10 +99,12 @@ class TieredWriter {
 /// Tier-aware restart read: picks the nearest surviving copy of this rank's
 /// file in the latest complete set (node memory beats burst buffer beats
 /// PFS; a copy held in a *remote* rank's memory is fetched over the modeled
-/// network). All ranks compute the same deterministic restore plan, so
-/// fetch sends and receives pair up without negotiation. Returns nullopt on
-/// cold start (before any messaging). `tier_out` gets the StorageTierKind
-/// ordinal served from.
+/// network). All ranks read the version's one shared restore plan
+/// (CheckpointStore::restore_plan), so fetch sends and receives pair up
+/// without negotiation; a rank does O(1) work for its own receive plus one
+/// send per rank it serves, posted in ascending rank order. Returns nullopt
+/// on cold start (before any messaging). `tier_out` gets the
+/// StorageTierKind ordinal served from.
 std::optional<std::vector<std::byte>> read_latest_checkpoint_tiered(
     vmpi::Context& ctx, CheckpointStore& store, const StorageHierarchy& storage,
     std::uint64_t* version_out = nullptr, int* tier_out = nullptr);

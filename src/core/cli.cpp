@@ -12,6 +12,7 @@
 #include "util/log.hpp"
 #include "util/parse.hpp"
 #include "util/pool.hpp"
+#include "vmpi/process.hpp"
 
 namespace exasim::core {
 std::string cli_usage() {
@@ -226,6 +227,8 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv, std::stri
     resolve_scheduler_spec(m.scheduler);
     resolve_speculation(m.speculate);
     ckpt::resolve_ckpt_mode(m.ckpt_mode);
+    util::pool_enabled_from_env();
+    vmpi::eager_wakeup_from_env();
     check_contention(m.net.contention, resolve_storage_spec(m.storage).any_contended(),
                      resolve_sim_workers(m.sim_workers));
   } catch (const std::invalid_argument& e) {

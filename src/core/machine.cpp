@@ -102,6 +102,15 @@ Machine::Machine(SimConfig config, vmpi::AppMain app)
 
 Machine::~Machine() = default;
 
+void Machine::set_checkpoint_store(ckpt::CheckpointStore* store) {
+  if (store != nullptr && store->expected_ranks() != config_.ranks) {
+    throw std::invalid_argument("checkpoint store expects " +
+                                std::to_string(store->expected_ranks()) + " ranks, machine has " +
+                                std::to_string(config_.ranks));
+  }
+  services_.checkpoints = store;
+}
+
 SimResult Machine::run() {
   const PerfSnapshot perf_begin = perf_snapshot();
   const auto wall_begin = std::chrono::steady_clock::now();

@@ -254,8 +254,10 @@ class Machine final : public vmpi::SystemHooks {
   Machine(SimConfig config, vmpi::AppMain app);
   ~Machine() override;
 
-  /// Optional external services (persistent checkpoint store etc.).
-  void set_checkpoint_store(ckpt::CheckpointStore* store) { services_.checkpoints = store; }
+  /// Optional external services (persistent checkpoint store etc.). The
+  /// store must expect this machine's world size (restore plans are indexed
+  /// by rank); throws std::invalid_argument otherwise.
+  void set_checkpoint_store(ckpt::CheckpointStore* store);
   void set_run_index(int idx) { services_.run_index = idx; }
 
   SimResult run();

@@ -1,6 +1,9 @@
 #include "exp/executor.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -45,12 +48,26 @@ int jobs_from_cli(int argc, char** argv) {
     std::optional<int> jobs;
     if (arg.rfind("--jobs=", 0) == 0) {
       jobs = parse_jobs(arg.substr(7));
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = parse_jobs(argv[i + 1]);
+    } else if (arg == "--jobs") {
+      if (i + 1 < argc) jobs = parse_jobs(argv[i + 1]);
+    } else {
+      continue;
     }
-    if (jobs) return *jobs;
+    if (!jobs) throw std::invalid_argument("bad --jobs");
+    return *jobs;
   }
   return -1;
+}
+
+int jobs_or_exit(int argc, char** argv) {
+  try {
+    return resolve_jobs(jobs_from_cli(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    const std::string_view program = argc > 0 ? argv[0] : "exasim";
+    std::fprintf(stderr, "%s: %s\n",
+                 std::string(program.substr(program.rfind('/') + 1)).c_str(), e.what());
+    std::exit(2);
+  }
 }
 
 namespace detail {

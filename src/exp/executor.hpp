@@ -28,7 +28,13 @@ int resolve_jobs(int requested);
 /// Scans argv for the `--jobs=N` / `--jobs N` knob every campaign binary
 /// supports; returns -1 (use the environment default) when absent. Other
 /// arguments are ignored, so benches with no further CLI stay one-liners.
+/// A malformed or missing value throws std::invalid_argument("bad --jobs").
 int jobs_from_cli(int argc, char** argv);
+
+/// resolve_jobs(jobs_from_cli(argc, argv)) for a campaign binary's main():
+/// a malformed --jobs or EXASIM_JOBS prints one "<program>: <reason>" line
+/// to stderr and exits with status 2.
+int jobs_or_exit(int argc, char** argv);
 
 /// Composes the campaign-level job count with the engine-level worker count:
 /// when every simulation in the campaign itself runs `sim_workers_per_run`

@@ -3,7 +3,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "util/parse.hpp"
 
 // ASan integration: blocks parked on a free list are poisoned so that a
 // use-after-free of pooled memory is reported just like one of heap memory
@@ -65,9 +69,14 @@ std::size_t class_for(std::size_t bytes) {
   return kClassCount;  // Oversize: heap.
 }
 
+// A malformed EXASIM_NO_POOL keeps the default here (a static initializer
+// must not throw); core::parse_cli rejects it before any run.
 std::atomic<bool> g_pool_enabled{[] {
-  const char* env = std::getenv("EXASIM_NO_POOL");
-  return env == nullptr || env[0] == '\0' || env[0] == '0';
+  try {
+    return pool_enabled_from_env();
+  } catch (const std::invalid_argument&) {
+    return true;
+  }
 }()};
 
 /// Per-thread pool state. Allocated once per thread, never destroyed:
@@ -133,6 +142,10 @@ void* heap_block(std::size_t bytes, ThreadPool& tp) {
 }  // namespace
 
 bool pool_enabled() { return g_pool_enabled.load(std::memory_order_relaxed); }
+
+bool pool_enabled_from_env() {
+  return !resolve(std::string(), "EXASIM_NO_POOL", parse_bool, false, "EXASIM_NO_POOL");
+}
 
 void set_pool_enabled(bool enabled) {
   g_pool_enabled.store(enabled, std::memory_order_relaxed);

@@ -40,10 +40,14 @@ namespace exasim::util {
 // ---------------------------------------------------------------------------
 
 /// Whether pool_alloc serves from the slab pool (true) or falls through to
-/// the plain heap (false). Initialized from EXASIM_NO_POOL (set and nonzero
-/// disables pooling); flip at runtime via set_pool_enabled (--no-pool).
+/// the plain heap (false). Initialized from pool_enabled_from_env(); flip at
+/// runtime via set_pool_enabled (--no-pool).
 bool pool_enabled();
 void set_pool_enabled(bool enabled);
+
+/// EXASIM_NO_POOL read as "0|1" ("1" disables pooling; unset or empty keeps
+/// it). Throws std::invalid_argument naming the variable on any other value.
+bool pool_enabled_from_env();
 
 /// Allocates `bytes` (16-byte aligned). Never fails softly: throws
 /// std::bad_alloc like operator new.

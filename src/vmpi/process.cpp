@@ -17,12 +17,22 @@ namespace exasim::vmpi {
 
 namespace {
 
+// A malformed EXASIM_EAGER_WAKEUP keeps the default here (a static
+// initializer must not throw); core::parse_cli rejects it before any run.
 std::atomic<bool> g_eager_wakeup{[] {
-  const char* env = std::getenv("EXASIM_EAGER_WAKEUP");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
+  try {
+    return eager_wakeup_from_env();
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
 }()};
 
 }  // namespace
+
+bool eager_wakeup_from_env() {
+  return resolve(std::string(), "EXASIM_EAGER_WAKEUP", parse_bool, false,
+                 "EXASIM_EAGER_WAKEUP");
+}
 
 bool eager_wakeup_enabled() { return g_eager_wakeup.load(std::memory_order_relaxed); }
 

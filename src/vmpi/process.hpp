@@ -367,9 +367,13 @@ class SimProcess final : public LogicalProcess {
 
 /// Whether spurious fiber resumes are allowed (true) or filtered against the
 /// recorded block condition (false, the default). Initialized from
-/// EXASIM_EAGER_WAKEUP (set and nonzero = eager); the delivered schedule is
-/// identical either way — the hatch exists to prove it and to bisect.
+/// eager_wakeup_from_env(); the delivered schedule is identical either way —
+/// the hatch exists to prove it and to bisect.
 bool eager_wakeup_enabled();
 void set_eager_wakeup(bool eager);
+
+/// EXASIM_EAGER_WAKEUP read as "0|1" ("1" = eager; unset or empty = filtered).
+/// Throws std::invalid_argument naming the variable on any other value.
+bool eager_wakeup_from_env();
 
 }  // namespace exasim::vmpi

@@ -10,6 +10,7 @@
 
 #include "core/cli.hpp"
 #include "util/pool.hpp"
+#include "vmpi/process.hpp"
 
 namespace exasim {
 namespace {
@@ -180,8 +181,14 @@ TEST(Cli, ParsesRoutingAndLinkModel) {
   EXPECT_TRUE(defaulted->machine.net.link_timeouts.uniform());
   EXPECT_FALSE(defaulted->machine.net.contention);
 
-  auto tuned = parse({"--routing=adaptive:spread=8",
-                      "--link-timeouts=hot:0=500ms,3=2s", "--contention"});
+  // --contention needs one sim worker; pin it so EXASIM_SIM_WORKERS cannot
+  // leak in (the rejection is Cli.ContentionNeedsOneSimWorker's).
+  std::optional<CliOptions> tuned;
+  {
+    ScopedEnv one_worker("EXASIM_SIM_WORKERS", "1");
+    tuned = parse({"--routing=adaptive:spread=8", "--link-timeouts=hot:0=500ms,3=2s",
+                   "--contention"});
+  }
   ASSERT_TRUE(tuned.has_value());
   EXPECT_EQ(tuned->machine.routing, "adaptive:spread=8");
   EXPECT_EQ(tuned->machine.net.link_timeouts.kind, LinkTimeoutKind::kHot);
@@ -311,11 +318,33 @@ TEST(Cli, RejectsMalformedEnvironmentSettings) {
   EnvGuard env(nullptr);
   for (const char* var : {"EXASIM_SCHEDULER", "EXASIM_ROUTING", "EXASIM_STORAGE",
                           "EXASIM_CKPT_MODE", "EXASIM_SIM_WORKERS", "EXASIM_SPECULATE",
-                          "EXASIM_FAILURE_DETECTOR", "EXASIM_LINK_TIMEOUTS"}) {
+                          "EXASIM_FAILURE_DETECTOR", "EXASIM_LINK_TIMEOUTS",
+                          "EXASIM_NO_POOL", "EXASIM_EAGER_WAKEUP"}) {
     ScopedEnv bogus(var, "bogus");
     std::string error;
     EXPECT_FALSE(parse({"--ranks=8"}, &error).has_value()) << var;
     EXPECT_NE(error.find(var), std::string::npos) << error;
+  }
+  // The two switches take exactly "0" or "1": no first-character reading.
+  for (const char* var : {"EXASIM_NO_POOL", "EXASIM_EAGER_WAKEUP"}) {
+    for (const char* value : {"false", "true", "01", "2", " 1", "1 "}) {
+      ScopedEnv bad(var, value);
+      std::string error;
+      EXPECT_FALSE(parse({"--ranks=8"}, &error).has_value()) << var << "=" << value;
+      EXPECT_NE(error.find(var), std::string::npos) << error;
+    }
+    for (const char* value : {"0", "1", ""}) {
+      ScopedEnv good(var, value);
+      EXPECT_TRUE(parse({"--ranks=8"}).has_value()) << var << "=" << value;
+    }
+  }
+  {
+    ScopedEnv off("EXASIM_NO_POOL", "1");
+    EXPECT_FALSE(util::pool_enabled_from_env());
+  }
+  {
+    ScopedEnv on("EXASIM_EAGER_WAKEUP", "1");
+    EXPECT_TRUE(vmpi::eager_wakeup_from_env());
   }
 }
 

@@ -237,6 +237,16 @@ TEST(Jobs, ResolutionRules) {
   EXPECT_EQ(exp::jobs_from_cli(3, const_cast<char**>(args2)), 7);
   const char* args3[] = {"bench"};
   EXPECT_EQ(exp::jobs_from_cli(1, const_cast<char**>(args3)), -1);
+  // A malformed or missing value is an error, never a silent fallback.
+  for (const char* bad : {"--jobs=abc", "--jobs=", "--jobs=-1", "--jobs=2x", "--jobs"}) {
+    const char* bad_args[] = {"bench", bad};
+    EXPECT_THROW(exp::jobs_from_cli(2, const_cast<char**>(bad_args)), std::invalid_argument)
+        << bad;
+  }
+  const char* bad_spaced[] = {"bench", "--jobs", "abc"};
+  EXPECT_THROW(exp::jobs_from_cli(3, const_cast<char**>(bad_spaced)), std::invalid_argument);
+  const char* other_args[] = {"bench", "--other=abc", "--jobs=2"};
+  EXPECT_EQ(exp::jobs_from_cli(3, const_cast<char**>(other_args)), 2);
 
   const char* old = std::getenv("EXASIM_JOBS");
   const std::string saved = old != nullptr ? old : "";

@@ -1,14 +1,17 @@
 // Storage hierarchy + tiered checkpointing (DESIGN.md §14): spec parsing
 // round-trips and rejection matrix, per-tier cost math, capacity budgets,
-// occupancy-window contention, staged-drain back-pressure, and the
-// partner-loss restart matrix (which tier survives which failure set).
+// occupancy-window contention, staged-drain back-pressure, the
+// partner-loss restart matrix (which tier survives which failure set), and
+// the cached per-version restore plan.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 
+#include "apps/heat3d.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/tiered.hpp"
 #include "iomodel/storage.hpp"
@@ -259,6 +262,22 @@ TEST(CheckpointCopies, FailureMatrixVictimPartnerAndBoth) {
   }
 }
 
+TEST(CheckpointCopies, RecordRejectsOutOfRangeLevelAndHolder) {
+  CheckpointStore store(2);
+  store.begin(1, 0);
+  EXPECT_THROW(store.record_copy(1, 0, CopyRecord{.level = 3}), std::invalid_argument);
+  EXPECT_THROW(store.record_copy(1, 0, CopyRecord{.level = -1}), std::invalid_argument);
+  EXPECT_THROW(store.record_copy(1, 0, CopyRecord{.level = 0, .holder = 2}),
+               std::invalid_argument);
+  EXPECT_THROW(store.record_copy(1, 0, CopyRecord{.level = 0, .holder = -2}),
+               std::invalid_argument);
+  EXPECT_TRUE(store.copies(1, 0).empty());
+  // The machine indexes restore plans by rank: a store sized for another
+  // world is refused.
+  core::Machine machine(tiny_config(3), [](Context& ctx) { ctx.finalize(); });
+  EXPECT_THROW(machine.set_checkpoint_store(&store), std::invalid_argument);
+}
+
 TEST(CheckpointCopies, InFlightDrainsDieWithTheRunOrTheSourceRank) {
   CheckpointStore store(1);
   store.begin(1, 0);
@@ -286,6 +305,149 @@ TEST(CheckpointCopies, InFlightDrainsDieWithTheRunOrTheSourceRank) {
                                     .depends_on = 0, .depends_until = sim_ms(200)});
   EXPECT_EQ(late.apply_failures({FailureSpec{0, sim_ms(400)}}, sim_sec(1)), 0);
   EXPECT_TRUE(late.set_complete(1));
+}
+
+// ---------------------------------------------------------------------------
+// The cached restore plan.
+
+constexpr int kPlanRanks = 16;
+
+/// A 16-rank version 1 with mixed copy sets: every rank keeps its image in
+/// its own and its partner's memory, except rank 5 (a legacy file with no
+/// copy records) and rank 9 (PFS only); even ranks also drained to the
+/// burst buffer and ranks divisible by 3 to the PFS, both handed off at
+/// 10 ms. File sizes differ per rank.
+std::unique_ptr<CheckpointStore> mixed_store() {
+  auto store = std::make_unique<CheckpointStore>(kPlanRanks);
+  for (int r = 0; r < kPlanRanks; ++r) {
+    store->begin(1, r);
+    store->append(1, r, std::vector<std::byte>(static_cast<std::size_t>(10 + r)));
+    store->finalize(1, r);
+    if (r == 5) continue;
+    if (r == 9) {
+      store->record_copy(1, r, CopyRecord{.level = 2, .holder = -1});
+      continue;
+    }
+    store->record_copy(1, r, CopyRecord{.level = 0, .holder = r});
+    store->record_copy(1, r, CopyRecord{.level = 0, .holder = ckpt::partner_of(r, kPlanRanks)});
+    const SimTime handoff = sim_ms(10);
+    if (r % 2 == 0) {
+      store->record_copy(1, r, CopyRecord{.level = 1, .holder = -1, .ready_time = handoff,
+                                          .depends_on = r, .depends_until = handoff});
+    }
+    if (r % 3 == 0) {
+      store->record_copy(1, r, CopyRecord{.level = 2, .holder = -1, .ready_time = handoff,
+                                          .depends_on = r, .depends_until = handoff});
+    }
+  }
+  return store;
+}
+
+/// The plan must equal a per-rank brute force over the stored copies, and
+/// each holder's receivers must be exactly the ranks it serves, ascending.
+void expect_plan_matches_brute_force(const CheckpointStore& store, std::uint64_t version) {
+  const auto plan = store.restore_plan(version);
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->best.size(), static_cast<std::size_t>(kPlanRanks));
+  for (int q = 0; q < kPlanRanks; ++q) {
+    SCOPED_TRACE("rank " + std::to_string(q));
+    const auto i = static_cast<std::size_t>(q);
+    EXPECT_EQ(plan->best[i], ckpt::best_copy(store.copies(version, q), q));
+    EXPECT_EQ(plan->bytes[i], store.file_bytes(version, q));
+  }
+  for (int h = 0; h < kPlanRanks; ++h) {
+    std::vector<int> expected;
+    for (int q = 0; q < kPlanRanks; ++q) {
+      if (q != h && plan->best[static_cast<std::size_t>(q)].holder == h) expected.push_back(q);
+    }
+    const auto served = plan->receivers_of(h);
+    EXPECT_EQ(std::vector<int>(served.begin(), served.end()), expected) << "holder " << h;
+  }
+}
+
+TEST(RestorePlan, MatchesBruteForceAcrossMixedTiersAndFailures) {
+  auto store = mixed_store();
+  expect_plan_matches_brute_force(*store, 1);
+  // Before any failure every memory-backed rank restores from its own memory.
+  EXPECT_EQ(store->restore_plan(1)->receivers.size(), 0u);
+
+  // Adjacent pairs die after the hand-off: 3 and 4, 10 and 11.
+  const SimTime t = sim_sec(1);
+  EXPECT_GT(store->apply_failures({FailureSpec{3, t}, FailureSpec{4, t}, FailureSpec{10, t},
+                                   FailureSpec{11, t}},
+                                  sim_sec(2)),
+            0);
+  ASSERT_TRUE(store->set_complete(1));
+  expect_plan_matches_brute_force(*store, 1);
+  const auto plan = store->restore_plan(1);
+  auto best = [&](int q) { return plan->best[static_cast<std::size_t>(q)]; };
+  // Served by a surviving partner's memory.
+  EXPECT_EQ(best(4), (CopyRecord{.level = 0, .holder = 5}));
+  EXPECT_EQ(best(11).holder, 12);
+  // Own and partner memory both gone: the deeper tiers.
+  EXPECT_EQ(best(3).level, 2);   // 3 is odd: no bb drain, PFS only.
+  EXPECT_EQ(best(10).level, 1);  // 10 is even: the burst buffer.
+  EXPECT_EQ(best(5), CopyRecord{});  // Legacy file: shared PFS.
+  EXPECT_EQ(best(9).level, 2);
+  EXPECT_EQ(best(2), (CopyRecord{.level = 0, .holder = 2}));  // Own memory survived.
+  EXPECT_EQ(plan->receivers, (std::vector<int>{4, 11}));
+  EXPECT_EQ(plan->receivers_of(5).size(), 1u);
+  EXPECT_EQ(plan->receivers_of(12).size(), 1u);
+  EXPECT_EQ(plan->bytes[4], 14u);
+
+  // A holder serving several ranks lists them in ascending order.
+  store->record_copy(1, 3, CopyRecord{.level = 0, .holder = 12});
+  expect_plan_matches_brute_force(*store, 1);
+  const auto served = store->restore_plan(1)->receivers_of(12);
+  EXPECT_EQ(std::vector<int>(served.begin(), served.end()), (std::vector<int>{3, 11}));
+}
+
+TEST(RestorePlan, CachedPerVersionUntilThatVersionChanges) {
+  auto store = mixed_store();
+  store->begin(2, 0);
+  const auto first = store->restore_plan(1);
+  EXPECT_EQ(store->restore_plan(1), first);  // Built once, shared.
+
+  // Mutating a different version leaves version 1's plan cached.
+  store->append(2, 0, bytes_of("x"));
+  store->finalize(2, 0);
+  store->record_copy(2, 0, CopyRecord{.level = 0, .holder = 0});
+  store->remove_file(2, 0);
+  EXPECT_EQ(store->restore_plan(1), first);
+  // A failure run that loses no copy of version 1 changes nothing either.
+  EXPECT_EQ(store->apply_failures({}, sim_sec(1)), 0);
+  EXPECT_EQ(store->restore_plan(1), first);
+
+  // Every mutation of version 1 drops the plan; the rebuilt one is exact.
+  auto expect_rebuilt_after = [&](const char* what, const std::function<void()>& mutate) {
+    SCOPED_TRACE(what);
+    const auto before = store->restore_plan(1);
+    mutate();
+    EXPECT_NE(store->restore_plan(1), before);
+    expect_plan_matches_brute_force(*store, 1);
+  };
+  expect_rebuilt_after("record_copy", [&] {
+    store->record_copy(1, 7, CopyRecord{.level = 0, .holder = 3});
+  });
+  expect_rebuilt_after("apply_failures", [&] {
+    EXPECT_GT(store->apply_failures({FailureSpec{7, sim_sec(1)}}, sim_sec(2)), 0);
+  });
+  // Two surviving remote replicas (ranks 8 and 3): the first recorded wins.
+  EXPECT_EQ(store->restore_plan(1)->best[7].holder, 8);
+  EXPECT_EQ(store->restore_plan(1)->receivers_of(8).size(), 1u);
+  expect_rebuilt_after("remove_file", [&] { store->remove_file(1, 6); });
+  EXPECT_EQ(store->restore_plan(1)->best[6], CopyRecord{});  // Missing file.
+  EXPECT_EQ(store->restore_plan(1)->bytes[6], 0u);
+  expect_rebuilt_after("begin", [&] { store->begin(1, 6); });
+  expect_rebuilt_after("append", [&] { store->append(1, 6, bytes_of("abc")); });
+  expect_rebuilt_after("finalize", [&] { store->finalize(1, 6); });
+  EXPECT_EQ(store->restore_plan(1)->bytes[6], 3u);
+  // A plan handed out earlier is an immutable snapshot.
+  EXPECT_EQ(first->best[7], (CopyRecord{.level = 0, .holder = 7}));
+  // A version that is not stored: every rank's file is missing.
+  const auto none = store->restore_plan(42);
+  EXPECT_EQ(none->best, std::vector<CopyRecord>(kPlanRanks));
+  EXPECT_TRUE(none->receivers.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -479,6 +641,67 @@ TEST(TieredRestore, ColdStartAfterTotalLossReturnsNothing) {
   };
   run_app(tiny_config(2), restore_app);
   EXPECT_TRUE(empty);
+}
+
+TEST(TieredRestore, StagedRunnerRestartIsWorkerInvariant) {
+  // heat3d on 16 ranks with staged hpc checkpoints and one mid-run failure
+  // after a checkpoint set: the relaunch restores from node memory, the victim
+  // fetching its partner-held replica, while ranks on different engine
+  // workers share one cached restore plan. Every launch's result must be
+  // byte-identical across worker counts.
+  apps::HeatParams p;
+  p.nx = p.ny = p.nz = 8;
+  p.px = 4;
+  p.py = p.pz = 2;
+  p.total_iterations = 40;
+  p.halo_interval = 10;
+  p.checkpoint_interval = 10;
+  p.work_units_per_point = 1000.0;
+  constexpr int kVictim = 5;
+  auto launches_with = [&](int workers) {
+    core::RunnerConfig rc;
+    rc.base = tiny_config(16);
+    rc.base.sim_workers = workers;
+    rc.base.ranks_per_node = 2;
+    rc.base.storage = "hpc";
+    rc.base.ckpt_mode = "staged";
+    rc.first_run_failures = {FailureSpec{kVictim, sim_us(750)}};
+    std::vector<apps::HeatReport> reports(16);
+    // What each rank's restore will read, captured from the same shared plan.
+    std::vector<CopyRecord> restored_from(16, CopyRecord{.level = -1});
+    auto heat = apps::make_heat3d(p, &reports);
+    auto app = [&restored_from, heat](Context& ctx) {
+      auto& store = *core::services_of(ctx).checkpoints;
+      if (const auto version = store.latest_complete()) {
+        restored_from[static_cast<std::size_t>(ctx.rank())] =
+            store.restore_plan(*version)->best[static_cast<std::size_t>(ctx.rank())];
+      }
+      heat(ctx);
+    };
+    const core::RunnerResult res = core::ResilientRunner(rc, app).run();
+    EXPECT_TRUE(res.completed);
+    EXPECT_EQ(res.launches, 2);
+    for (int r = 0; r < 16; ++r) {
+      SCOPED_TRACE("rank " + std::to_string(r));
+      const CopyRecord& from = restored_from[static_cast<std::size_t>(r)];
+      EXPECT_EQ(reports[static_cast<std::size_t>(r)].restarts_used, 1);
+      EXPECT_EQ(from.level, 0);  // Node memory.
+      EXPECT_EQ(from.holder, r == kVictim ? ckpt::partner_of(r, 16) : r);
+    }
+    std::vector<std::string> jsons;
+    for (const auto& run : res.run_results) {
+      const std::string json = core::sim_result_json(run);
+      jsons.push_back(json.substr(0, json.find(",\"wall_seconds\"")));
+    }
+    return jsons;
+  };
+  const auto ref = launches_with(1);
+  ASSERT_EQ(ref.size(), 2u);
+  EXPECT_NE(ref[0].find("\"outcome\":\"aborted\""), std::string::npos);
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    EXPECT_EQ(launches_with(workers), ref);
+  }
 }
 
 TEST(TieredHelpers, PartnerRingAndClients) {
